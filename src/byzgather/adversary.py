@@ -63,9 +63,15 @@ def wake_schedule(policy: str, agent_ids: list[int], byzantine_ids: set[int],
 
 
 class ByzantineStrategy:
-    """Base stepper for faulty agents: stationary, frozen presented state."""
+    """Base stepper for faulty agents: stationary, frozen presented state.
+
+    A strategy whose steps after its first one never move and never
+    present a new state sets ``static = True``; the engine then steps it
+    only in its wake round.
+    """
 
     name = "crash"
+    static = False
 
     def __init__(self, agent_id: int, seed: int, f: int):
         self.agent_id = agent_id
@@ -78,6 +84,7 @@ class ByzantineStrategy:
 
 class Crash(ByzantineStrategy):
     name = "crash"
+    static = True
 
 
 class RandomWalk(ByzantineStrategy):
@@ -94,6 +101,7 @@ class FakeTarget(ByzantineStrategy):
     """Poses as a waiting group-making target forever, hoping to be adopted."""
 
     name = "fake_target"
+    static = True
 
     def __init__(self, agent_id, seed, f):
         super().__init__(agent_id, seed, f)
@@ -119,23 +127,24 @@ class Lure(FakeTarget):
     """
 
     name = "lure"
+    static = False
 
     def __init__(self, agent_id, seed, f):
         super().__init__(agent_id, seed, f)
         self._streak = 0
         self._flip_left = 0
         self._flipped = False
+        self._good: frozenset[int] = frozenset()
 
     def step(self, world, agent_id):
         first = not self._sent
         self._sent = True
-        node = world.position(agent_id)
+        if first:
+            self._good = frozenset(world.good_ids())
         hunters = 0
-        for g in world.good_ids():
-            if world.status(g) == ACTIVE and world.position(g) == node:
-                stepper = world.stepper(g)
-                if stepper.state.tar == agent_id:
-                    hunters += 1
+        for g in world.view_of(agent_id)[0].ids & self._good:
+            if world.status(g) == ACTIVE and world.stepper(g).state.tar == agent_id:
+                hunters += 1
         want_flip = False
         if self._flip_left > 0:
             self._flip_left -= 1
@@ -160,6 +169,7 @@ class FakeGroup(ByzantineStrategy):
     """Advertises membership in a nonexistent group with the smallest possible id."""
 
     name = "fake_group"
+    static = True
 
     def __init__(self, agent_id, seed, f):
         super().__init__(agent_id, seed, f)
@@ -200,6 +210,7 @@ class IdInflator(ByzantineStrategy):
     """Claims to have met an enormous id, attacking the trusted-maximum vote."""
 
     name = "id_inflator"
+    static = True
     FAKE_ID = 1_000_003
 
     def __init__(self, agent_id, seed, f):

@@ -27,6 +27,7 @@ from .simcore import (
     TERMINATE,
     ObservationView,
     PresentedState,
+    schedule_slot,
 )
 
 
@@ -150,13 +151,12 @@ class GatheringAgent:
         st = self.state
         st.count += 1
         c = st.count
-        X = self.X
-        if c <= X:
+        X, P = self.X, self.P
+        pos = schedule_slot(c, X, P)
+        if pos is None:
             action = self._walk_move(view, entry_port, c - 1)
         else:
-            q, rp = divmod(c - X - 1, self.P)
-            rp += 1
-            slot = q % 3
+            slot, rp = pos
             if slot == 0:
                 if st.end_ci:
                     action = self._mgst_round(view, entry_port, rp)
@@ -166,12 +166,68 @@ class GatheringAgent:
                 action = self._gst1_round(view, entry_port, rp)
             else:
                 action = self._gst2_round(view, entry_port, rp)
-        nxt = c + 1
-        in_mgst = st.end_ci and nxt > X and ((nxt - X - 1) // self.P) % 3 == 0
+        in_mgst = False
+        if st.end_ci:
+            nxt = schedule_slot(c + 1, X, P)
+            in_mgst = nxt is not None and nxt[0] == 0
         if in_mgst != self._in_mgst_next:
             self._in_mgst_next = in_mgst
             self.presented_dirty = True
         return action
+
+    def next_due(self) -> int:
+        """First own-clock count after the current one that must be stepped.
+
+        Stepping at any count strictly between the current one and the
+        returned one, on the view seen at the last step, would return a
+        stay, log no event, leave ``presented_dirty`` unset and change no
+        state a later step reads (the round counter aside).  Due are every
+        initial-walk count, each phase's first and last round, and the
+        middle third ``X+1..2X+1`` of phases in which the agent walks or
+        watches.
+        """
+        st = self.state
+        c = st.count + 1
+        X, P = self.X, self.P
+        pos = schedule_slot(c, X, P)
+        if pos is None:
+            return c
+        slot, rp = pos
+        if rp == 1:
+            return c
+        if slot == 0:
+            acts = st.sta == STA_MG_SA if st.end_ci else self._bit == 1
+        elif slot == 1:
+            acts = st.end_ci and st.sta != STA_G_WG
+        else:
+            acts = st.end_ci and self._g2_mode == 2
+        if acts and rp <= 2 * X + 1:
+            return c + max(0, min(X + 1, P) - rp)
+        return c + P - rp
+
+    def watches_view(self) -> bool:
+        """False if every step before ``next_due()`` ignores the view.
+
+        Such steps, on any view, return a stay, log no event, leave
+        ``presented_dirty`` unset and change no state a later step reads,
+        so a changed view need not be stepped on until the due count.  The
+        views read between due counts are the ones recorded every round:
+        collected ids in a waiting id-collection phase, the group-making
+        vote of a target or of a searcher that found its target, and the
+        group evidence a waiting group member gathers.
+        """
+        st = self.state
+        pos = schedule_slot(st.count + 1, self.X, self.P)
+        if pos is None:
+            return True
+        slot, rp = pos
+        if slot == 0:
+            if not st.end_ci:
+                return self._bit == 0
+            if st.sta == STA_MG_TA:
+                return True
+            return st.sta == STA_MG_SA and rp > 2 * self.X + 1 and not self._gave_up
+        return slot == 1 and st.end_ci and st.sta == STA_G_WG
 
     def _walk_move(self, view: ObservationView, entry_port: int | None, i: int):
         d = view.degree

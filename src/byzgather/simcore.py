@@ -6,6 +6,15 @@ reads an observation of its node as of the end of the previous round,
 all transitions run, and all moves apply simultaneously.  Two agents
 crossing one edge in opposite directions never observe each other.
 
+Stepping is lazy where a stepper allows it.  A good stepper with
+``next_due()`` and ``watches_view()`` methods is stepped only when its
+own clock reaches the count ``next_due()`` named, or when its node's
+observation changed since its last step and it watches its view; a
+Byzantine strategy with ``static = True`` is stepped once, in its wake
+round.  Every other stepper is stepped every round.  When a round changes
+nothing and no every-round stepper is active, the engine jumps straight
+to the next due round or scheduled wake.
+
 The engine is protocol-agnostic: good agents are driven by stepper
 objects fed only observations, Byzantine agents by strategy objects fed
 the full world state.  Presented states are paired with engine-held true
@@ -15,6 +24,7 @@ ids, so a faulty agent can forge every field except its identity.
 from __future__ import annotations
 
 from bisect import bisect_right, insort
+from heapq import heappop, heappush
 from typing import Iterable, NamedTuple
 
 from .portgraph import PortGraph
@@ -55,6 +65,20 @@ class PresentedState(NamedTuple):
     il: frozenset[int]
     flag_t: bool
     terminated: bool
+
+
+def schedule_slot(count: int, x: int, p: int) -> tuple[int, int] | None:
+    """Where own-clock round ``count`` (1-based) falls in a good agent's schedule.
+
+    None during the initial walk (counts ``1..x``); afterwards ``(slot,
+    rp)``, where ``slot`` 0 is a main phase and 1, 2 the two rendezvous
+    phases that follow it, and ``rp`` is the 1-based round within the
+    ``p``-round phase.
+    """
+    if count <= x:
+        return None
+    q, rp = divmod(count - x - 1, p)
+    return q % 3, rp + 1
 
 
 def initial_presented(agent_id: int) -> PresentedState:
@@ -144,34 +168,39 @@ class Trace:
         """
         end_ci_round = {aid: r for r, aid, k, _ in self.events if k == "end_ci"}
         sim_round = {aid: r for r, aid, k, _ in self.events if k == "sim_mode"}
-        yield f"# scenario {self.scenario_id} variant {self.variant} x_n {self.x_n} rounds {self.rounds}"
+        x, p = self.x_n, self.p_n
+        # Per agent: id, wake, last active round, position log, cursor into it.
+        agents = []
+        for aid in self.agent_ids:
+            term = self.termination.get(aid)
+            agents.append([aid, self.wake_round.get(aid), term[0] if term else self.rounds,
+                           self.position_log.get(aid), 0])
+        yield f"# scenario {self.scenario_id} variant {self.variant} x_n {x} rounds {self.rounds}"
         for r in range(1, self.rounds + 1):
-            for aid in self.agent_ids:
-                wake = self.wake_round.get(aid)
+            for a in agents:
+                aid, wake, last, log, i = a
                 if wake is None or r < wake:
                     yield f"{r},{aid},-,dormant,-"
                     continue
-                node = self.node_at(aid, r)
-                term = self.termination.get(aid)
-                if term is not None and r > term[0]:
+                while i + 1 < len(log) and log[i + 1][0] <= r:
+                    i += 1
+                a[4] = i
+                node = log[i][1]
+                if r > last:
                     yield f"{r},{aid},{node},terminated,done"
-                    continue
-                yield f"{r},{aid},{node},active,{self._stage(aid, r, wake, end_ci_round, sim_round)}"
-
-    def _stage(self, aid: int, r: int, wake: int, end_ci_round: dict, sim_round: dict) -> str:
-        if aid in self.byz_ids:
-            return "byz"
-        if aid in sim_round and r >= sim_round[aid]:
-            return "simterm"
-        count = r - wake + 1
-        if count <= self.x_n:
-            return "explo"
-        q = (count - self.x_n - 1) // self.p_n
-        slot = q % 3
-        if slot == 0:
-            done = aid in end_ci_round and r > end_ci_round[aid]
-            return "mgst" if done else "cist"
-        return "gst1" if slot == 1 else "gst2"
+                elif aid in self.byz_ids:
+                    yield f"{r},{aid},{node},active,byz"
+                elif aid in sim_round and r >= sim_round[aid]:
+                    yield f"{r},{aid},{node},active,simterm"
+                else:
+                    pos = schedule_slot(r - wake + 1, x, p)
+                    if pos is None:
+                        stage = "explo"
+                    elif pos[0] == 0:
+                        stage = "mgst" if aid in end_ci_round and r > end_ci_round[aid] else "cist"
+                    else:
+                        stage = "gst1" if pos[0] == 1 else "gst2"
+                    yield f"{r},{aid},{node},active,{stage}"
 
 
 class WorldView:
@@ -245,12 +274,18 @@ class Engine:
         self.index_of = {aid: i for i, aid in enumerate(ids)}
         self.is_byz = [s.is_byzantine for s in specs]
         self.steppers = [s.stepper for s in specs]
+        # Lazy: a good stepper with the next_due() and watches_view() hooks.
+        # Static: a Byzantine strategy that never acts after its first step.
+        self._lazy = [not s.is_byzantine and hasattr(s.stepper, "next_due")
+                      and hasattr(s.stepper, "watches_view") for s in specs]
+        self._static = [s.is_byzantine and getattr(s.stepper, "static", False) for s in specs]
         self.pos = [s.start_node for s in specs]
         self.schedule = [s.wake_round for s in specs]
         self.status = [DORMANT] * len(specs)
         self.entry: list[int | None] = [None] * len(specs)
         self.presented: list[PresentedState | None] = [None] * len(specs)
         self.occupants: list[list[int]] = [[] for _ in range(graph.node_count)]
+        self._lazy_at: list[list[int]] = [[] for _ in range(graph.node_count)]  # active lazy agents
         # Versions are drawn from one clock so a version value never repeats
         # across nodes; steppers rely on that to skip unchanged views.
         self._vclock = 0
@@ -261,7 +296,15 @@ class Engine:
         byz = frozenset(aid for aid, b in zip(ids, self.is_byz) if b)
         self.trace = Trace(scenario_id, variant, x_n, p_n, graph, good, byz)
         self.world = WorldView(self)
-        self._active: list[int] = []
+        self._wake: list[int | None] = [None] * len(specs)
+        self._every: list[int] = []  # active steppers stepped every round, sorted
+        # Due rounds of lazy and static agents; heap entries whose round no
+        # longer matches _due_round are stale and skipped.
+        self._due: list[tuple[int, int]] = []
+        self._due_round: list[int | None] = [None] * len(specs)
+        # Per lazy agent, watches_view() since its last step (None: not asked).
+        self._watch: list[bool | None] = [None] * len(specs)
+        self._dirty: set[int] = set()  # nodes bumped since the last _changed()
         self._dormant = list(range(len(specs)))
         self._good_left = len(good)
 
@@ -280,34 +323,112 @@ class Engine:
     def _bump(self, node: int) -> None:
         self._vclock += 1
         self.node_version[node] = self._vclock
+        self._dirty.add(node)
+
+    def _set_due(self, idx: int, r: int | None) -> None:
+        if r is not None and r != self._due_round[idx]:
+            heappush(self._due, (r, idx))
+        self._due_round[idx] = r
 
     def _activate(self, idx: int, r: int) -> None:
         self.status[idx] = ACTIVE
         aid = self.ids[idx]
+        self._wake[idx] = r
         self.trace.wake_round[aid] = r
         self.trace.position_log[aid] = [(r, self.pos[idx])]
         self.presented[idx] = initial_presented(aid)
         insort(self.occupants[self.pos[idx]], idx)
         self._bump(self.pos[idx])
-        insort(self._active, idx)
+        if self._lazy[idx]:
+            self._lazy_at[self.pos[idx]].append(idx)
+        if self._lazy[idx] or self._static[idx]:
+            self._set_due(idx, r)
+        else:
+            insort(self._every, idx)
         self._dormant.remove(idx)
+
+    def _next_round(self, r: int) -> int:
+        """Earliest round from ``r`` at which a due agent or a scheduled wake acts."""
+        due, due_round = self._due, self._due_round
+        while due and (due_round[due[0][1]] != due[0][0] or self.status[due[0][1]] != ACTIVE):
+            heappop(due)
+        nxt = self.round_cap + 1
+        if due:
+            nxt = min(nxt, due[0][0])
+        for idx in self._dormant:
+            w = self.schedule[idx]
+            if w is not None and r <= w < nxt:
+                nxt = w
+        return nxt
+
+    def _changed(self) -> set[int]:
+        """Active lazy agents on nodes bumped since the last call that watch their view."""
+        changed: set[int] = set()
+        watch = self._watch
+        for node in self._dirty:
+            for j in self._lazy_at[node]:
+                w = watch[j]
+                if w is None:
+                    w = watch[j] = self.steppers[j].watches_view()
+                if w:
+                    changed.add(j)
+        self._dirty.clear()
+        return changed
+
+    def _reschedule(self, stepped: list[int], changed: set[int]) -> None:
+        """Due rounds for lazy agents stepped last round and not stepped now on a change.
+
+        An agent in ``changed`` is stepped this round anyway, and computes
+        its due round after that step; an older due entry of it can only
+        fall on a round in which it is stepped regardless.
+        """
+        for idx in set(stepped).difference(changed):
+            if self.status[idx] == ACTIVE:
+                due = self.steppers[idx].next_due()
+                self._set_due(idx, None if due is None else self._wake[idx] + due - 1)
+
+    def _to_step(self, r: int, changed: set[int]) -> list[int]:
+        """Active agents stepped in round ``r``, in id order."""
+        chosen = changed | self._changed()  # the latter: nodes of agents woken now
+        chosen.update(self._every)
+        due, due_round, status = self._due, self._due_round, self.status
+        while due and due[0][0] <= r:
+            rd, j = heappop(due)
+            if due_round[j] == rd and status[j] == ACTIVE:
+                chosen.add(j)
+        return sorted(chosen)
+
+    def _finish(self, rounds: int) -> Trace:
+        # Lazy agents' clocks read as if they had been stepped every round.
+        for idx, stepper in enumerate(self.steppers):
+            if self._lazy[idx] and self.status[idx] == ACTIVE:
+                stepper.state.count = rounds + 1 - self._wake[idx]
+        self.trace.rounds = rounds
+        return self.trace
 
     def run(self) -> Trace:
         trace = self.trace
         ids = self.ids
         steppers = self.steppers
         status = self.status
+        lazy = self._lazy
+        wake = self._wake
+        watch = self._watch
         pos = self.pos
         entry = self.entry
         pending_visit: list[int] = []
+        stepped_lazy: list[int] = []
         neighbor = self.graph.neighbor
         while True:
-            self.round += 1
-            r = self.round
+            changed = self._changed()
+            self._reschedule(stepped_lazy, changed)
+            r = self.round + 1
+            if not (changed or pending_visit or self._every):
+                r = self._next_round(r)
+            self.round = r
             if r > self.round_cap:
                 trace.capped = True
-                trace.rounds = r - 1
-                return trace
+                return self._finish(r - 1)
 
             for idx in list(self._dormant):
                 if self.schedule[idx] == r:
@@ -320,7 +441,8 @@ class Engine:
             terminations: list[int] = []
             moves: list[tuple[int, int]] = []
             pres_updates: list[tuple[int, PresentedState]] = []
-            for idx in self._active:
+            stepped_lazy = []
+            for idx in self._to_step(r, changed):
                 stepper = steppers[idx]
                 if self.is_byz[idx]:
                     new_presented, action = stepper.step(self.world, ids[idx])
@@ -329,7 +451,14 @@ class Engine:
                     if action is TERMINATE:
                         action = None
                 else:
+                    if lazy[idx]:
+                        stepper.state.count = r - wake[idx]
+                        stepped_lazy.append(idx)
                     action = stepper.step(self.node_view(pos[idx]), entry[idx])
+                    if lazy[idx]:
+                        # An extra step is always safe, and a mover's walk
+                        # usually goes on: count it as watching unasked.
+                        watch[idx] = True if action is not None else None
                     ev = stepper.events
                     if ev:
                         aid = ids[idx]
@@ -349,7 +478,10 @@ class Engine:
 
             for idx in terminations:
                 status[idx] = TERMINATED
-                self._active.remove(idx)
+                if lazy[idx]:
+                    self._lazy_at[pos[idx]].remove(idx)
+                else:
+                    self._every.remove(idx)
                 aid = ids[idx]
                 trace.termination[aid] = (r, pos[idx])
                 if not self.is_byz[idx]:
@@ -363,6 +495,9 @@ class Engine:
                 u, q = neighbor(old, port)
                 self.occupants[old].remove(idx)
                 insort(self.occupants[u], idx)
+                if lazy[idx]:
+                    self._lazy_at[old].remove(idx)
+                    self._lazy_at[u].append(idx)
                 self._bump(old)
                 self._bump(u)
                 pos[idx] = u
@@ -374,8 +509,7 @@ class Engine:
                 self._bump(pos[idx])
 
             if self._good_left == 0:
-                trace.rounds = r
-                return trace
+                return self._finish(r)
 
             if self._dormant:
                 for idx in self._dormant:

@@ -72,6 +72,22 @@ class SimGatheringAgent(GatheringAgent):
             return None
         return action
 
+    def next_due(self) -> int | None:
+        """Like the base hook; while waiting, the first wait round and the
+        count at which the flag rises on an unchanged view are due (None:
+        nothing is due until the view changes)."""
+        if not self.sim_active:
+            return super().next_due()
+        c = self.state.count
+        if c < self.r_i:
+            return c + 1
+        if self.flag_t or self._sthreshold is None:
+            return None
+        return max(c + 1, self.r_i + self.X, self._sthreshold)
+
+    def watches_view(self) -> bool:
+        return self.sim_active or super().watches_view()
+
     def _sim_round(self, view: ObservationView):
         st = self.state
         st.count += 1

@@ -6,6 +6,7 @@ criteria.  Expected values in criterion 8 are hand-derived.
 """
 
 import time
+from pathlib import Path
 
 import pytest
 
@@ -36,6 +37,9 @@ LEMMA_KEYS = (
 )
 
 
+GOLDEN = Path(__file__).resolve().parent.parent / "bench" / "golden"
+
+
 def report(criterion: str, ok: bool, detail: str = "") -> bool:
     print(f"[{'PASS' if ok else 'FAIL'}] {criterion}" + (f" ({detail})" if detail else ""))
     return ok
@@ -53,6 +57,14 @@ def ns_suite():
 def sim_suite():
     t0 = time.perf_counter()
     result = run_suite(acceptance_matrix("SIM"), workers=2)
+    result.elapsed = time.perf_counter() - t0
+    return result
+
+
+@pytest.fixture(scope="module")
+def baseline_suite():
+    t0 = time.perf_counter()
+    result = run_suite(baseline_matrix(), workers=2)
     result.elapsed = time.perf_counter() - t0
     return result
 
@@ -128,15 +140,22 @@ def test_criterion_5_adversary_effectiveness(ns_suite, sim_suite):
     assert ok
 
 
-def test_criterion_6_fault_free_baseline():
-    t0 = time.perf_counter()
-    result = run_suite(baseline_matrix(), workers=2)
-    elapsed = time.perf_counter() - t0
-    bad = [v for v in result.verdicts
+def test_criterion_6_fault_free_baseline(baseline_suite):
+    bad = [v for v in baseline_suite.verdicts
            if not (v.gathered and v.same_node and v.bound_satisfied)]
     ok = report("criterion 6: four honest agents gather on every benchmark graph",
-                not bad, f"{len(result.verdicts)} graphs, {elapsed:.0f}s")
+                not bad, f"{len(baseline_suite.verdicts)} graphs, {baseline_suite.elapsed:.0f}s")
     assert ok, "\n".join(v.scenario_id for v in bad[:40])
+
+
+def test_suite_csvs_match_golden(ns_suite, sim_suite, baseline_suite):
+    # bench/golden holds the three suites' CSVs as first committed; any
+    # change to the engine or the protocol must reproduce them byte for byte.
+    differ = [name for name, suite in (("acceptance-ns", ns_suite), ("acceptance-sim", sim_suite),
+                                       ("baseline-f0", baseline_suite))
+              if suite.csv() != (GOLDEN / f"{name}.csv").read_text(encoding="utf-8")]
+    assert report("suite CSVs equal bench/golden byte for byte", not differ,
+                  f"{3 - len(differ)}/3 suites"), differ
 
 
 def test_criterion_7_determinism():

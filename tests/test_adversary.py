@@ -1,4 +1,5 @@
 import pytest
+from conftest import entry, view
 
 from byzgather.adversary import (
     InvalidPolicy,
@@ -91,6 +92,9 @@ def test_lure_flips_its_claim_once_hunted():
 
         def stepper(self, aid):
             return self.hunter
+
+        def view_of(self, aid):
+            return view([entry(5), entry(9)]), None  # the hunter shares the lure's node
 
     lure = Lure(9, seed=0, f=1)
     world = World()

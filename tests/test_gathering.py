@@ -1,3 +1,5 @@
+import copy
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -15,7 +17,7 @@ from byzgather.gathering import (
     most_frequent_smallest,
     reliable_gids,
 )
-from byzgather.simcore import TERMINATE
+from byzgather.simcore import TERMINATE, schedule_slot
 
 
 # -- label and formula units --------------------------------------------------
@@ -378,3 +380,134 @@ def test_main_phase_variables_frozen_during_gathering_phases():
         agent.step(view([entry(8), entry(2)], degree=2), 1)
     after = (agent.state.x, set(agent.state.il), set(agent.state.bl), agent.state.tar)
     assert before == after
+
+
+# -- the next_due() hook ---------------------------------------------------------
+
+def snapshot(agent):
+    """Presented state plus every field a later step reads."""
+    st = agent.state
+    return (agent.build_presented(), st.sta, st.x, st.estf, frozenset(st.il), frozenset(st.bl),
+            st.tar, st.gef, st.gid, frozenset(st.gl), agent._rec_ver, agent._gl_ver,
+            agent._cons_ver, agent._found_rp, agent._gave_up, agent._g2_found)
+
+
+def assert_idle_until_due(agent, v, fresh_views=False):
+    """Step a copy up to next_due() - 1; every step must be a no-op.
+
+    The copy sees the view ``v`` of the agent's last step throughout, or,
+    with ``fresh_views``, a different view every round.  Returns the due
+    count and the copy, stepped up to just before it.
+    """
+    agent.events.clear()
+    agent.presented_dirty = False
+    due = agent.next_due()
+    assert due > agent.state.count
+    twin = copy.deepcopy(agent)
+    before = snapshot(twin)
+    while twin.state.count + 1 < due:
+        if fresh_views:
+            other = 60 + twin.state.count % 7
+            v = view([entry(agent.state.id),
+                      entry(other, sta="S_G_WG", end_ci=True, in_mgst=True, estf=0, tar=3, gid=2)],
+                     degree=3)
+        assert twin.step(v, None) is None
+        assert twin.events == []
+        assert not twin.presented_dirty
+        assert snapshot(twin) == before
+    return due, twin
+
+
+def stage_walk():
+    agent = fresh_agent()
+    v = view([entry(5)], degree=2)
+    agent.step(v, None)
+    return agent, v
+
+
+def stage_cist(bit):
+    def build():
+        agent = fresh_agent(agent_id=5, offsets=(0,) * 4)
+        advance_to_phases(agent)
+        agent.state.x = 1 if bit else 2  # bit 1 of every label is 1, bit 2 is 0
+        v = view([entry(5), entry(9)], degree=2)
+        agent.step(v, None)
+        return agent, v
+    return build
+
+
+def stage_mgst(agent_id):
+    def build():
+        agent = make_mgst_agent(agent_id, {3, 5, 8, 11, 13, 17, 19, 23}, estf=1)
+        v = view([entry(agent_id), entry(30)], degree=2)
+        agent.step(v, None)
+        return agent, v
+    return build
+
+
+def stage_gst(sta, phase, gl=frozenset()):
+    def build():
+        agent = make_mgst_agent(9, {3, 9, 30, 40}, estf=1)
+        st = agent.state
+        st.sta = sta
+        st.gid = 3 if sta in ("S_G_WG", "S_G_EG") else None
+        st.gl = set(gl)
+        st.count += phase * agent.P
+        v = view([entry(9), entry(30)], degree=2)
+        agent.step(v, None)
+        return agent, v
+    return build
+
+
+REL = {(3, 51), (3, 52)}
+
+# stage -> (builder, phase round the agent is due at next)
+HOOK_STAGES = {
+    "walk": (stage_walk, None),
+    "cist-bit0": (stage_cist(0), "P"),
+    "cist-bit1": (stage_cist(1), "X+1"),
+    "mgst-target": (stage_mgst(5), "P"),
+    "mgst-searcher": (stage_mgst(8), "X+1"),
+    "gst1-waiting": (stage_gst("S_G_WG", 1), "P"),
+    "gst1-exploring": (stage_gst("S_G_EG", 1), "X+1"),
+    "gst2-mode0": (stage_gst("S_G_EG", 2), "P"),
+    "gst2-mode1": (stage_gst("S_G_WG", 2, REL), "P"),
+    "gst2-mode2": (stage_gst("S_MG_SA", 2, REL), "X+1"),
+}
+
+
+@pytest.mark.parametrize("stage", sorted(HOOK_STAGES))
+def test_next_due_skips_only_idle_counts(stage):
+    build, due_at = HOOK_STAGES[stage]
+    agent, v = build()
+    due, _ = assert_idle_until_due(agent, v)
+    X, P = agent.X, agent.P
+    if due_at is None:
+        assert due == agent.state.count + 1
+        return
+    pos = schedule_slot(due, X, P)
+    assert pos is not None and pos[1] == (P if due_at == "P" else X + 1)
+
+
+@pytest.mark.parametrize("stage", sorted(set(HOOK_STAGES) - {"gst1-waiting"}))
+def test_next_due_is_a_count_that_acts(stage):
+    # At the due count the same view yields a move, a termination, a
+    # presented-state change or the phase counter's bump (a waiting
+    # rendezvous phase ends with none of these, so it is left out).
+    agent, v = HOOK_STAGES[stage][0]()
+    _, twin = assert_idle_until_due(agent, v)
+    x = twin.state.x
+    action = twin.step(v, 1)  # the entry port matters only to a walk
+    assert action is not None or twin.presented_dirty or twin.state.x != x
+
+
+WATCHING = {"walk", "cist-bit0", "mgst-target", "gst1-waiting"}
+
+
+@pytest.mark.parametrize("stage", sorted(HOOK_STAGES))
+def test_watches_view_only_where_a_step_reads_it(stage):
+    # A stage that does not watch ignores every view until its due count.
+    agent, v = HOOK_STAGES[stage][0]()
+    assert agent.watches_view() == (stage in WATCHING)
+    if stage not in WATCHING:
+        assert_idle_until_due(agent, v, fresh_views=True)

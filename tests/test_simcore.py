@@ -1,3 +1,6 @@
+import hashlib
+
+import pytest
 from conftest import ScriptedAgent, presented
 
 from byzgather.portgraph import GraphFamily, build, generate
@@ -151,3 +154,94 @@ def test_degenerate_single_node_world():
     assert agent.state.count == 25
     assert trace.position_log[1] == [(1, 0)]
     assert agent.state.end_ci  # six one-round collection phases fit in 25 rounds
+
+
+def test_steppers_without_the_hook_are_stepped_every_round():
+    g = two_node()
+
+    class Still:
+        def __init__(self):
+            self.rounds = []
+
+        def step(self, world, agent_id):
+            self.rounds.append(world.round)
+            return None, None
+
+    class Static(Still):
+        static = True
+
+    scripted, still, static = ScriptedAgent(), Still(), Static()
+    run(g, [AgentSpec(1, False, scripted, 0, 1), AgentSpec(2, True, still, 1, 1),
+            AgentSpec(3, True, static, 1, 2)], round_cap=6)
+    assert len(scripted.seen) == 6  # nothing changes, yet it is stepped each round
+    assert still.rounds == [1, 2, 3, 4, 5, 6]
+    assert static.rounds == [2]  # a static strategy only in its wake round
+
+
+def test_lazy_stepper_skips_idle_rounds_but_keeps_its_clock():
+    from byzgather.exploration import build_sequence
+    from byzgather.gathering import GatheringAgent
+
+    class Counting(GatheringAgent):
+        def step(self, view, entry_port):
+            action = super().step(view, entry_port)
+            stepped.append(self.state.count)
+            return action
+
+    stepped = []
+    g = build(3, [(0, 1), (1, 2)])
+    seq = build_sequence(3, 0, [g])
+    agent = Counting(1, seq)
+    run(g, [AgentSpec(1, False, agent, 0, 1)], round_cap=400)
+    X, P = agent.X, agent.P
+    assert stepped[:X] == list(range(1, X + 1))  # the whole initial walk
+    assert X + P in stepped  # the last round of the first phase
+    assert len(stepped) < 400
+    assert agent.state.count == 400
+
+
+def _pinned_config(variant, family, n, f, rule, strategy, wake, seed, cap=None):
+    from byzgather.harness import (ScenarioConfig, default_agent_ids,
+                                   hypothesis_team_size, strict_team_size)
+
+    k = strict_team_size(f) if rule == "strict" else hypothesis_team_size(f)
+    ids, byz = default_agent_ids(k, f, seed)
+    return ScenarioConfig(
+        scenario_id=f"pin-{variant}-{family}-f{f}-{strategy}", variant=variant,
+        family=family, n=n, graph_seed=seed % 3, N=n, ids=ids, byzantine_ids=byz,
+        strategy=strategy, wake_policy=wake, seed=seed, team_rule=rule, round_cap=cap)
+
+
+# SHA-256 of export_trace_text, recorded from the engine that stepped every
+# agent in every round.  Together: both variants, f = 0, 1, 2, static and
+# every-round strategies, all three wake policies, and a capped run.
+PINNED_TRACES = [
+    (("NS", "ring", 3, 0, "strict", "crash", "all_at_once", 0),
+     "9b259ff4d5f60e6aadd419ccf0ea89f6e02cf80cd3211da2d06c129e6cf244a0"),
+    (("SIM", "path", 4, 0, "strict", "crash", "single_good_first", 1),
+     "8f0793e5f5e70fb6718dcef07b689c6757b4618151cbda77f3925b73a28dd978"),
+    (("NS", "random-tree", 4, 1, "hypothesis", "lure", "adversarial_stagger", 0),
+     "810e58afc7a413cc7766fec288d7bbf4a40c720bf2e7e789349b101032c68a9f"),
+    (("SIM", "complete", 4, 1, "strict", "id_inflator", "adversarial_stagger", 1),
+     "4bd69c5d814a62343e4ee518760ac864ba799ef35d24f799ecc718de2944511e"),
+    (("NS", "random-connected", 3, 2, "hypothesis", "fake_group", "single_good_first", 2),
+     "12ac0d4e85d83387c59dd967ffa0f7a35630857afcca39630f8a8456c78b7484"),
+    (("SIM", "ring", 3, 2, "hypothesis", "mimic_good", "all_at_once", 0),
+     "d558818fbd9f33373a0abb0896c701b34617826bb0128bec9af496d96a6ff066"),
+    (("NS", "complete", 5, 1, "strict", "estf_liar", "adversarial_stagger", 2),
+     "f6047b3a99d4620395719244d33831ec0939a457506203f2d1617b5a78bbaa80"),
+    (("SIM", "random-tree", 3, 1, "hypothesis", "random_walk", "single_good_first", 0),
+     "9c86c6c3d584c54c3ed0016a7ded1c42357e60addde928b44931f6830ebfa71e"),
+    (("NS", "ring", 3, 0, "strict", "crash", "adversarial_stagger", 1, 700),
+     "a238c17c1b4afaeba07b06a2dfbabe7c89147b241d87970c25adce769709cf46"),
+]
+
+
+@pytest.mark.parametrize("case,digest", PINNED_TRACES,
+                         ids=["-".join(map(str, case)) for case, _ in PINNED_TRACES])
+def test_trace_exports_match_pinned_digests(case, digest):
+    from byzgather.harness import export_trace_text, run_scenario
+
+    cfg = _pinned_config(*case)
+    _, trace = run_scenario(cfg)
+    assert hashlib.sha256(export_trace_text(trace, cfg).encode()).hexdigest() == digest

@@ -1,3 +1,5 @@
+import copy
+
 from conftest import entry, seq_of, view
 
 from byzgather.simcore import TERMINATE
@@ -131,3 +133,28 @@ def test_sim_agent_enters_checking_mode_instead_of_terminating():
     assert agent.sim_active
     assert agent.r_i == agent.state.count + 1
     assert ("sim_mode", agent.r_i) in agent.events
+    assert agent.next_due() == agent.r_i  # the first wait round is always stepped
+
+
+def test_next_due_while_waiting_is_the_flag_round():
+    # Alone on the node: gef 0 and a trusted maximum, so only the clock can
+    # raise the flag; every wait round before that is a no-op.
+    x_n = 4
+    agent = sim_agent(x_n=x_n, r_i=10, estf=0)
+    agent.state.count = 20
+    v = view([own_entry(agent)])
+    agent.step(v, None)
+    agent.events.clear()
+    due = agent.next_due()
+    assert due == max(agent.r_i + x_n, termination_threshold(x_n, 5))
+    twin = copy.deepcopy(agent)
+    before = twin.build_presented()
+    while twin.state.count + 1 < due:
+        assert twin.step(v, None) is None
+        assert twin.events == [] and not twin.presented_dirty
+        assert twin.build_presented() == before
+    assert agent.watches_view()  # a waiting agent reads every new view
+    twin.step(v, None)
+    assert twin.flag_t and twin.presented_dirty
+    twin.presented_dirty = False
+    assert twin.next_due() is None  # raised: only a changed view matters now
