@@ -231,10 +231,10 @@ class MimicGood(ByzantineStrategy):
 
     name = "mimic_good"
 
-    def __init__(self, agent_id, seed, f, variant="NS", seq=None, x_n=None, p_n=None):
+    def __init__(self, agent_id, seed, f, variant="NS", seq=None):
         super().__init__(agent_id, seed, f)
         cls = SimGatheringAgent if variant == "SIM" else GatheringAgent
-        self.inner = cls(agent_id, seq, x_n, p_n)
+        self.inner = cls(agent_id, seq)
         self._done = False
 
     def step(self, world, agent_id):
@@ -264,9 +264,9 @@ _STRATEGIES = {
 
 
 def make_strategy(name: str, agent_id: int, seed: int, f: int, *,
-                  variant: str = "NS", seq=None, x_n=None, p_n=None) -> ByzantineStrategy:
+                  variant: str = "NS", seq=None) -> ByzantineStrategy:
     if name not in _STRATEGIES:
         raise ValueError(f"unknown Byzantine strategy {name!r}")
     if name == "mimic_good":
-        return MimicGood(agent_id, seed, f, variant=variant, seq=seq, x_n=x_n, p_n=p_n)
+        return MimicGood(agent_id, seed, f, variant=variant, seq=seq)
     return _STRATEGIES[name](agent_id, seed, f)

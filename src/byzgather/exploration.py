@@ -2,7 +2,7 @@
 
 A walk is driven by a fixed offset sequence: entering a degree-d node
 through port e at step i, the walker leaves through
-``((e - 1 + offsets[i]) mod d) + 1``.  A sequence is *certified* for a
+``exit_port(offsets[i], e, d)``.  A sequence is *certified* for a
 bound N when, on every registered benchmark graph with at most N nodes
 and from every start node, the walk visits all nodes within its length.
 
@@ -23,14 +23,6 @@ class ExplorationError(ValueError):
     pass
 
 
-class IndexOutOfRange(ExplorationError):
-    pass
-
-
-class BadPort(ExplorationError):
-    pass
-
-
 class CertificationFailedAfterRetries(ExplorationError):
     def __init__(self, attempts: int, failure: "CertResult"):
         super().__init__(
@@ -38,17 +30,6 @@ class CertificationFailedAfterRetries(ExplorationError):
             f"last failure: start {failure.start}, uncovered node {failure.uncovered}"
         )
         self.failure = failure
-
-
-class _Start:
-    __slots__ = ()
-
-    def __repr__(self) -> str:
-        return "START"
-
-
-#: Virtual entry port for the first move of a walk (treated as port 1).
-START = _Start()
 
 
 class CertResult(NamedTuple):
@@ -75,24 +56,14 @@ class ExplorationSequence:
         return f"ExplorationSequence(N={self.certified_bound}, length={self.length}, seed={self.seed})"
 
 
-def x_n(seq: ExplorationSequence) -> int:
-    """Number of moves of the certified walk."""
-    return seq.length
+def exit_port(offset: int, entry_port: int | None, degree: int) -> int:
+    """The walk rule: exit port of one step at a degree-``degree`` node.
 
-
-def explo_step(seq: ExplorationSequence, i: int, entry_port, degree: int):
-    """Exit port for step ``i`` of the walk, entering through ``entry_port``."""
-    if not 0 <= i < seq.length:
-        raise IndexOutOfRange(f"step index {i} outside [0, {seq.length})")
-    if degree < 1:
-        raise BadPort(f"degree must be >= 1, got {degree}")
-    if entry_port is START:
-        e = 1
-    else:
-        e = entry_port
-        if not 1 <= e <= degree:
-            raise BadPort(f"entry port {e} out of range for degree {degree}")
-    return (e - 1 + seq.offsets[i]) % degree + 1
+    ``entry_port`` None marks the first move of a walk, which counts as
+    entering through port 1.
+    """
+    e = 1 if entry_port is None else entry_port
+    return (e - 1 + offset) % degree + 1
 
 
 def walk_visits(seq: ExplorationSequence, g: PortGraph, start: int) -> set[int]:
@@ -105,15 +76,11 @@ def walk_visits(seq: ExplorationSequence, g: PortGraph, start: int) -> set[int]:
     n = g.node_count
     if n == 1:
         return visited
-    pos = start
-    entry: int | _Start = START
+    pos, entry = start, None
     adj = g._adj
-    offsets = seq.offsets
-    for i in range(len(offsets)):
+    for offset in seq.offsets:
         row = adj[pos]
-        d = len(row)
-        e = 1 if entry is START else entry
-        pos, entry = row[(e - 1 + offsets[i]) % d]
+        pos, entry = row[exit_port(offset, entry, len(row)) - 1]
         if pos not in visited:
             visited.add(pos)
             if len(visited) == n:

@@ -17,7 +17,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import Iterable
 
-from .exploration import ExplorationSequence
+from .exploration import ExplorationSequence, exit_port
 from .simcore import (
     STA_CI,
     STA_G_EG,
@@ -114,11 +114,10 @@ class GatheringAgent:
     ``events`` as (kind, payload) pairs and drained by the engine.
     """
 
-    def __init__(self, agent_id: int, seq: ExplorationSequence,
-                 x_n: int | None = None, p_n: int | None = None):
+    def __init__(self, agent_id: int, seq: ExplorationSequence):
         self.seq = seq
-        self.X = seq.length if x_n is None else x_n
-        self.P = (3 * self.X + 1) if p_n is None else p_n
+        self.X = seq.length
+        self.P = 3 * self.X + 1
         self.state = AgentState(agent_id)
         self.events: list[tuple[str, object]] = []
         self.presented_dirty = False
@@ -233,8 +232,7 @@ class GatheringAgent:
         d = view.degree
         if d == 0:
             return None
-        e = 1 if i == 0 else entry_port
-        return (e - 1 + self._offsets[i]) % d + 1
+        return exit_port(self._offsets[i], None if i == 0 else entry_port, d)
 
     def _record_ids(self, view: ObservationView) -> None:
         if view.version == self._rec_ver:

@@ -12,6 +12,8 @@ round-count bounds, and a battery of structural invariants.
 from __future__ import annotations
 
 import argparse
+import functools
+import itertools
 import multiprocessing
 import os
 import random
@@ -19,7 +21,7 @@ import sys
 from dataclasses import dataclass, field
 
 from .adversary import STRATEGY_NAMES, WAKE_POLICIES, make_strategy, wake_schedule
-from .exploration import ExplorationSequence, build_sequence, save_sequence, x_n
+from .exploration import ExplorationSequence, build_sequence, save_sequence
 from .gathering import GatheringAgent
 from .portgraph import FAMILY_KINDS, GraphFamily, PortGraph, generate
 from .simcore import AgentSpec, Engine, Trace
@@ -74,6 +76,9 @@ def strict_team_size(f: int) -> int:
 
 def hypothesis_team_size(f: int) -> int:
     return (4 * f + 4) * (f + 1)
+
+
+_TEAM_SIZE = {"strict": strict_team_size, "hypothesis": hypothesis_team_size}
 
 
 # -- scenario configuration --------------------------------------------------
@@ -134,12 +139,10 @@ class ScenarioConfig:
             out.append("agent ids must be positive integers")
         if not set(self.byzantine_ids) <= set(self.ids):
             out.append("byzantine_ids must be a subset of ids")
-        if self.team_rule not in ("strict", "hypothesis"):
+        if self.team_rule not in _TEAM_SIZE:
             out.append(f"unknown team_rule {self.team_rule!r}")
-        else:
-            need = strict_team_size(self.f) if self.team_rule == "strict" else hypothesis_team_size(self.f)
-            if self.k < need:
-                out.append(f"k={self.k} below the required team size {need} for f={self.f}")
+        elif self.k < (need := _TEAM_SIZE[self.team_rule](self.f)):
+            out.append(f"k={self.k} below the required team size {need} for f={self.f}")
         if self.f > 0 and self.strategy not in STRATEGY_NAMES:
             out.append(f"unknown Byzantine strategy {self.strategy!r}")
         if self.wake_policy not in WAKE_POLICIES:
@@ -186,62 +189,76 @@ def default_agent_ids(k: int, f: int, seed: int) -> tuple[tuple[int, ...], tuple
     return ids, tuple(sorted(lows + highs))
 
 
-# -- scenario files -----------------------------------------------------------
+# -- scenario text -------------------------------------------------------------
+#
+# Scenario files, matrix files and the "#cfg" header of a trace export share
+# one grammar: "key = value" lines, read by _read_fields and turned into a
+# validated ScenarioConfig by _config.
 
-_LIST_KEYS = {"ids", "byzantine_ids"}
-_INT_KEYS = {"n", "graph_seed", "N", "seed", "exploration_seed", "round_cap", "k", "f"}
-
-
-def parse_scenario_text(text: str) -> ScenarioConfig:
-    raw: dict[str, object] = {}
-    for lineno, line in enumerate(text.splitlines(), 1):
+def _read_fields(lines) -> dict[str, str]:
+    fields = {}
+    for lineno, line in enumerate(lines, 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        if "=" not in line:
+        key, eq, value = line.partition("=")
+        if not eq:
             raise ParseError(f"line {lineno}: expected 'key = value', got {line!r}")
-        key, _, value = line.partition("=")
-        key, value = key.strip(), value.strip()
-        try:
-            if key in _LIST_KEYS:
-                raw[key] = tuple(int(tok) for tok in value.replace(",", " ").split()) if value else ()
-            elif key in _INT_KEYS:
-                raw[key] = int(value)
-            else:
-                raw[key] = value
-        except ValueError as exc:
-            raise ParseError(f"line {lineno}: bad value for {key}: {value!r}") from exc
+        fields[key.strip()] = value.strip()
+    return fields
 
-    seed = int(raw.get("seed", 0))
-    if "ids" in raw:
-        ids = tuple(raw["ids"])
-        byz = tuple(raw.get("byzantine_ids", ()))
-    elif "k" in raw:
-        ids, byz = default_agent_ids(int(raw["k"]), int(raw.get("f", 0)), seed)
+
+def _int(key: str, value: str) -> int:
+    try:
+        return int(value)
+    except ValueError:
+        raise ParseError(f"bad value for {key}: {value!r}") from None
+
+
+def _config(fields: dict[str, str], draw_ids=default_agent_ids) -> ScenarioConfig:
+    """Validated scenario from string fields; unset optional fields take defaults.
+
+    Ids are listed in ``ids`` (and ``byzantine_ids``), or drawn by
+    ``draw_ids`` from ``k``, ``f`` and the seed.
+    """
+    def num(key, default=None):
+        value = fields.get(key)
+        return default if value is None else _int(key, value)
+
+    def id_list(key):
+        return tuple(_int(key, tok) for tok in fields.get(key, "").replace(",", " ").split())
+
+    seed = num("seed", 0)
+    if "ids" in fields:
+        ids, byz = id_list("ids"), id_list("byzantine_ids")
+    elif "k" in fields:
+        ids, byz = draw_ids(num("k"), num("f", 0), seed)
     else:
         raise ParseError("scenario needs either 'ids' or 'k' (optionally with 'f')")
-    try:
-        n = int(raw["n"])
-        family = str(raw["family"])
-    except KeyError as exc:
-        raise ParseError(f"missing required field {exc.args[0]!r}") from exc
-    cfg = ScenarioConfig(
-        scenario_id=str(raw.get("scenario_id", "scenario")),
-        variant=str(raw.get("variant", "NS")),
-        family=family,
+    for key in ("family", "n"):
+        if key not in fields:
+            raise ParseError(f"missing required field {key!r}")
+    n = num("n")
+    return ScenarioConfig(
+        scenario_id=fields.get("scenario_id", "scenario"),
+        variant=fields.get("variant", "NS"),
+        family=fields["family"],
         n=n,
-        graph_seed=int(raw.get("graph_seed", seed % 3)),
-        N=int(raw.get("N", n)),
+        graph_seed=num("graph_seed", seed % 3),
+        N=num("N", n),
         ids=ids,
         byzantine_ids=byz,
-        strategy=str(raw.get("strategy", "crash")),
-        wake_policy=str(raw.get("wake_policy", "all_at_once")),
+        strategy=fields.get("strategy", "crash"),
+        wake_policy=fields.get("wake_policy", "all_at_once"),
         seed=seed,
-        exploration_seed=int(raw.get("exploration_seed", 0)),
-        round_cap=int(raw["round_cap"]) if "round_cap" in raw else None,
-        team_rule=str(raw.get("team_rule", "strict")),
-    )
-    return cfg.validated()
+        exploration_seed=num("exploration_seed", 0),
+        round_cap=num("round_cap"),
+        team_rule=fields.get("team_rule", "strict"),
+    ).validated()
+
+
+def parse_scenario_text(text: str) -> ScenarioConfig:
+    return _config(_read_fields(text.splitlines()))
 
 
 def load_scenario(path: str) -> ScenarioConfig:
@@ -271,6 +288,12 @@ def benchmark_families(N: int) -> list[GraphFamily]:
     return fams
 
 
+@functools.cache
+def _benchmark_graph(fam: GraphFamily) -> PortGraph:
+    # The corpora for different N share their smaller graphs; generate each once.
+    return generate(fam)
+
+
 def benchmark_graphs(N: int) -> list[tuple[GraphFamily, PortGraph]]:
     """Registered corpus for bound N, deduplicated by labeled-graph identity."""
     cached = _BENCH_CACHE.get(N)
@@ -278,7 +301,7 @@ def benchmark_graphs(N: int) -> list[tuple[GraphFamily, PortGraph]]:
         seen = set()
         cached = []
         for fam in benchmark_families(N):
-            g = generate(fam)
+            g = _benchmark_graph(fam)
             fp = g.fingerprint()
             if fp not in seen:
                 seen.add(fp)
@@ -315,7 +338,7 @@ def run_scenario(config: ScenarioConfig) -> tuple["Verdict", Trace]:
         start = rng.randrange(graph.node_count)
         if aid in byz:
             stepper = make_strategy(config.strategy, aid, config.seed, config.f,
-                                    variant=config.variant, seq=seq, x_n=X, p_n=P)
+                                    variant=config.variant, seq=seq)
         else:
             cls = SimGatheringAgent if config.variant == "SIM" else GatheringAgent
             stepper = cls(aid, seq)
@@ -331,14 +354,7 @@ def run_scenario(config: ScenarioConfig) -> tuple["Verdict", Trace]:
 
 @dataclass
 class Verdict:
-    scenario_id: str
-    variant: str
-    n: int
-    N: int
-    k: int
-    f: int
-    strategy: str
-    wake_policy: str
+    config: ScenarioConfig
     x_n: int
     gathered: bool
     same_node: bool
@@ -357,14 +373,15 @@ class Verdict:
     def ok(self) -> bool:
         if not (self.gathered and self.same_node and self.bound_satisfied):
             return False
-        if self.variant == "SIM" and self.same_round is not True:
+        if self.config.variant == "SIM" and self.same_round is not True:
             return False
         return all(self.lemma_checks.values())
 
     def csv_row(self) -> str:
+        c = self.config
         rounds = self.measured_rounds if self.measured_rounds is not None else -1
-        return (f"{self.scenario_id},{self.variant},{self.n},{self.N},{self.k},{self.f},"
-                f"{self.strategy},{self.wake_policy},{self.x_n},{rounds},{self.bound},"
+        return (f"{c.scenario_id},{c.variant},{c.n},{c.N},{c.k},{c.f},"
+                f"{c.strategy},{c.wake_policy},{self.x_n},{rounds},{self.bound},"
                 f"{'pass' if self.ok else 'FAIL'}")
 
 
@@ -378,7 +395,8 @@ def check(trace: Trace, config: ScenarioConfig) -> Verdict:
     X, P = trace.x_n, trace.p_n
 
     term = {aid: rn for aid, (rn, _) in trace.termination.items() if aid in good}
-    all_term = set(term) == set(good)
+    last_term = trace.last_good_termination()
+    all_term = last_term is not None
     final_nodes = {trace.termination[aid][1] for aid in term}
     same_node = all_term and len(final_nodes) == 1
     gathered = all_term and same_node
@@ -387,7 +405,6 @@ def check(trace: Trace, config: ScenarioConfig) -> Verdict:
         same_round = all_term and len(set(term.values())) == 1
 
     first_wake = trace.first_good_wake()
-    last_term = max(term.values()) if all_term else None
     measured = (last_term - first_wake) if (all_term and first_wake is not None) else None
     own_clock = max(rn - trace.wake_round[aid] for aid, rn in term.items()) if all_term else None
     if config.variant == "NS":
@@ -467,9 +484,7 @@ def check(trace: Trace, config: ScenarioConfig) -> Verdict:
     }
 
     return Verdict(
-        scenario_id=config.scenario_id, variant=config.variant, n=config.n,
-        N=config.N, k=config.k, f=f, strategy=config.strategy,
-        wake_policy=config.wake_policy, x_n=X, gathered=gathered,
+        config=config, x_n=X, gathered=gathered,
         same_node=same_node, same_round=same_round, capped=trace.capped,
         first_wake=first_wake, last_termination=last_term,
         measured_rounds=measured, bound=bound, bound_satisfied=bound_satisfied,
@@ -538,10 +553,10 @@ class SuiteResult:
                 why.append("not gathered")
             if v.gathered and not v.bound_satisfied:
                 why.append(f"rounds {v.measured_rounds} > bound {v.bound}")
-            if v.variant == "SIM" and v.same_round is False:
+            if v.config.variant == "SIM" and v.same_round is False:
                 why.append("termination rounds differ")
             why.extend(name for name, okc in v.lemma_checks.items() if not okc)
-            lines.append(f"  FAIL {v.scenario_id}: {', '.join(why)}")
+            lines.append(f"  FAIL {v.config.scenario_id}: {', '.join(why)}")
         if len(bad) > 20:
             lines.append(f"  ... and {len(bad) - 20} more failures")
         return "\n".join(lines)
@@ -558,117 +573,80 @@ def run_suite(configs: list[ScenarioConfig], workers: int | None = None) -> Suit
             verdicts = list(pool.imap_unordered(_suite_worker, configs, chunksize=4))
     else:
         verdicts = [_suite_worker(cfg) for cfg in configs]
-    verdicts.sort(key=lambda v: v.scenario_id)
+    verdicts.sort(key=lambda v: v.config.scenario_id)
     return SuiteResult(verdicts)
 
 
 # -- default matrices ---------------------------------------------------------
 
-MATRIX_N = 5
-MATRIX_SEEDS = (0, 1, 2)
-MATRIX_F = (0, 1, 2)
+#: Axes of a matrix file and their defaults; any other key is a scenario field.
+_AXES = {"families": ", ".join(FAMILY_KINDS), "f": "0", "k_rules": "strict",
+         "strategies": "crash", "wake_policies": "all_at_once", "seeds": "0"}
+
+_ACCEPTANCE_MATRIX = """
+n = 5
+families = ring, complete, path, random-tree, random-connected
+f = 0, 1, 2
+k_rules = strict, hypothesis
+strategies = crash, random_walk, fake_target, lure, fake_group, estf_liar, id_inflator, mimic_good
+wake_policies = all_at_once, single_good_first, adversarial_stagger
+seeds = 0, 1, 2
+"""
+
+
+def parse_matrix_text(text: str) -> list[ScenarioConfig]:
+    """Cross-product matrix: comma-separated axes over shared scenario fields.
+
+    Axes expand in the order family, f, k rule, strategy, wake policy,
+    seed; ``n`` defaults to 5.  With f = 0 every strategy coincides, so
+    only the first one runs, and among k rules that give the same k the
+    first one listed wins.  Ids are drawn once per distinct (k, f, seed).
+    """
+    fields = {"n": "5", **_read_fields(text.splitlines())}
+    axes = {key: [tok.strip() for tok in fields.pop(key, default).split(",") if tok.strip()]
+            for key, default in _AXES.items()}
+    teams = []
+    for f in (_int("f", value) for value in axes["f"]):
+        k_rules: dict[int, str] = {}
+        for rule in axes["k_rules"]:
+            if rule not in _TEAM_SIZE:
+                raise ParseError(f"unknown k rule {rule!r}")
+            k_rules.setdefault(_TEAM_SIZE[rule](f), rule)
+        teams.extend((f, k, rule) for k, rule in k_rules.items())
+    draw_ids = functools.lru_cache(maxsize=None)(default_agent_ids)
+    strategies = axes["strategies"]
+    configs = []
+    for family, (f, k, rule) in itertools.product(axes["families"], teams):
+        for strategy, policy, seed in itertools.product(
+                strategies if f else strategies[:1], axes["wake_policies"], axes["seeds"]):
+            cfg = _config({**fields, "family": family, "f": str(f), "k": str(k), "team_rule": rule,
+                           "strategy": strategy, "wake_policy": policy, "seed": seed}, draw_ids)
+            cfg.scenario_id = (f"{cfg.variant}-{family}-n{cfg.n}-f{f}-k{k:02d}-"
+                               f"{strategy}-{policy}-s{cfg.seed}")
+            configs.append(cfg)
+    return configs
 
 
 def acceptance_matrix(variant: str) -> list[ScenarioConfig]:
     """Family x fault-count x team-size x strategy x wake-policy x seed grid.
 
     Every graph seed used here is one of the registered benchmark seeds,
-    so one certified sequence per N covers the whole grid.  With f=0 all
-    strategies coincide, so that axis collapses to a single entry.
+    so one certified sequence per N covers the whole grid.
     """
-    configs = []
-    n = MATRIX_N
-    for family in FAMILY_KINDS:
-        for f in MATRIX_F:
-            # Both team sizes coincide at f=0; the strict label wins the collision.
-            k_rules = {hypothesis_team_size(f): "hypothesis", strict_team_size(f): "strict"}
-            for k, rule in sorted(k_rules.items(), reverse=True):
-                strategies = STRATEGY_NAMES if f else ("crash",)
-                for strategy in strategies:
-                    for wake_policy in WAKE_POLICIES:
-                        for seed in MATRIX_SEEDS:
-                            ids, byz = default_agent_ids(k, f, seed)
-                            sid = (f"{variant}-{family}-n{n}-f{f}-k{k:02d}-"
-                                   f"{strategy}-{wake_policy}-s{seed}")
-                            configs.append(ScenarioConfig(
-                                scenario_id=sid, variant=variant, family=family,
-                                n=n, graph_seed=seed % 3, N=n, ids=ids,
-                                byzantine_ids=byz, strategy=strategy,
-                                wake_policy=wake_policy, seed=seed,
-                                team_rule=rule,
-                            ))
-    return configs
+    return parse_matrix_text(f"variant = {variant}\n{_ACCEPTANCE_MATRIX}")
 
 
 def baseline_matrix() -> list[ScenarioConfig]:
-    """f=0, k=4 honest runs over the full benchmark corpus at n in 3..10."""
+    """f=0, k=4 honest runs over the benchmark corpus for N = 10 (n in 3..10)."""
     configs = []
-    seen_graphs = set()
-    for n in range(3, 11):
-        for family in FAMILY_KINDS:
-            for seed in BENCHMARK_SEEDS:
-                g = generate(GraphFamily(family, n, seed))
-                fp = g.fingerprint()
-                if fp in seen_graphs:
-                    continue
-                seen_graphs.add(fp)
-                ids, byz = default_agent_ids(4, 0, seed)
-                sid = f"NS-{family}-n{n}-f0-k04-baseline-all_at_once-s{seed}"
-                configs.append(ScenarioConfig(
-                    scenario_id=sid, variant="NS", family=family, n=n,
-                    graph_seed=seed, N=n, ids=ids, byzantine_ids=byz,
-                    strategy="crash", wake_policy="all_at_once", seed=seed,
-                ))
-    return configs
-
-
-def parse_matrix_text(text: str) -> list[ScenarioConfig]:
-    """Cross-product matrix file: list-valued keys expand combinatorially."""
-    raw: dict[str, list[str]] = {}
-    for lineno, line in enumerate(text.splitlines(), 1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ParseError(f"line {lineno}: expected 'key = value', got {line!r}")
-        key, _, value = line.partition("=")
-        raw[key.strip()] = [tok.strip() for tok in value.split(",") if tok.strip()]
-
-    def one(key: str, default: str | None = None) -> str:
-        vals = raw.get(key)
-        if not vals:
-            if default is None:
-                raise ParseError(f"matrix needs field {key!r}")
-            return default
-        if len(vals) != 1:
-            raise ParseError(f"matrix field {key!r} must be single-valued")
-        return vals[0]
-
-    variant = one("variant", "NS")
-    n = int(one("n", str(MATRIX_N)))
-    N = int(one("N", str(n)))
-    families = raw.get("families", list(FAMILY_KINDS))
-    fs = [int(v) for v in raw.get("f", ["0"])]
-    rules = raw.get("k_rules", ["strict"])
-    strategies = raw.get("strategies", ["crash"])
-    policies = raw.get("wake_policies", ["all_at_once"])
-    seeds = [int(v) for v in raw.get("seeds", ["0"])]
-    configs = []
-    for family in families:
-        for f in fs:
-            for rule in rules:
-                k = strict_team_size(f) if rule == "strict" else hypothesis_team_size(f)
-                for strategy in (strategies if f else strategies[:1]):
-                    for policy in policies:
-                        for seed in seeds:
-                            ids, byz = default_agent_ids(k, f, seed)
-                            sid = f"{variant}-{family}-n{n}-f{f}-k{k:02d}-{strategy}-{policy}-s{seed}"
-                            configs.append(ScenarioConfig(
-                                scenario_id=sid, variant=variant, family=family,
-                                n=n, graph_seed=seed % 3, N=N, ids=ids,
-                                byzantine_ids=byz, strategy=strategy,
-                                wake_policy=policy, seed=seed, team_rule=rule,
-                            ))
+    for fam, _ in benchmark_graphs(10):
+        n, seed = fam.node_count, fam.seed
+        ids, byz = default_agent_ids(4, 0, seed)
+        configs.append(ScenarioConfig(
+            scenario_id=f"NS-{fam.kind}-n{n}-f0-k04-baseline-all_at_once-s{seed}",
+            variant="NS", family=fam.kind, n=n, graph_seed=seed, N=n, ids=ids,
+            byzantine_ids=byz, strategy="crash", wake_policy="all_at_once", seed=seed,
+        ))
     return configs
 
 
@@ -691,24 +669,10 @@ def export_trace_text(trace: Trace, config: ScenarioConfig) -> str:
 
 
 def config_from_trace_text(text: str) -> ScenarioConfig:
-    kv = {}
-    for line in text.splitlines():
-        if not line.startswith("#cfg "):
-            continue
-        key, _, value = line[5:].partition("=")
-        kv[key.strip()] = value.strip()
-    if not kv:
+    fields = _read_fields(line[5:] for line in text.splitlines() if line.startswith("#cfg "))
+    if not fields:
         raise ParseError("trace file carries no embedded scenario")
-    return ScenarioConfig(
-        scenario_id=kv["scenario_id"], variant=kv["variant"], family=kv["family"],
-        n=int(kv["n"]), graph_seed=int(kv["graph_seed"]), N=int(kv["N"]),
-        ids=tuple(int(t) for t in kv["ids"].split()) if kv["ids"] else (),
-        byzantine_ids=tuple(int(t) for t in kv["byzantine_ids"].split()) if kv["byzantine_ids"] else (),
-        strategy=kv["strategy"], wake_policy=kv["wake_policy"], seed=int(kv["seed"]),
-        exploration_seed=int(kv.get("exploration_seed", "0")),
-        round_cap=int(kv["round_cap"]) if "round_cap" in kv else None,
-        team_rule=kv.get("team_rule", "strict"),
-    ).validated()
+    return _config(fields)
 
 
 def replay_trace_file(path: str) -> tuple[bool, str]:
@@ -775,7 +739,7 @@ def _cmd_suite(args) -> int:
 
 def _cmd_certify(args) -> int:
     seq = certified_sequence(args.n, args.seed)
-    print(f"certified sequence for N={args.n}, seed={args.seed}: X_N={x_n(seq)}")
+    print(f"certified sequence for N={args.n}, seed={args.seed}: X_N={seq.length}")
     if args.out:
         save_sequence(seq, args.out)
         print(f"cached to {args.out}")

@@ -87,14 +87,6 @@ class PortGraph:
             raise PortOutOfRange(v, p, len(row))
         return row[p - 1]
 
-    def edges(self) -> list[tuple[int, int]]:
-        out = []
-        for v, row in enumerate(self._adj):
-            for u, _ in row:
-                if v < u:
-                    out.append((v, u))
-        return out
-
     def fingerprint(self) -> tuple:
         """Canonical identity of the labeled graph, usable as a cache key."""
         return (self.node_count, self._adj)
@@ -107,11 +99,6 @@ class PortGraph:
 
     def __repr__(self) -> str:
         return f"PortGraph(n={self.node_count}, m={sum(map(len, self._adj)) // 2})"
-
-
-def neighbor(g: PortGraph, v: int, p: int) -> tuple[int, int]:
-    """Module-level alias for :meth:`PortGraph.neighbor`."""
-    return g.neighbor(v, p)
 
 
 def build(
@@ -267,15 +254,13 @@ def parse_graph_file(text: str) -> PortGraph:
         if ln == "ports":
             in_ports = True
             continue
-        if in_ports:
-            head, _, rest = ln.partition(":")
-            ports[int(head)] = [int(tok) for tok in rest.split()]
-        else:
-            u, v = ln.split()
-            edges.append((int(u), int(v)))
+        try:
+            if in_ports:
+                head, _, rest = ln.partition(":")
+                ports[int(head)] = [int(tok) for tok in rest.split()]
+            else:
+                u, v = map(int, ln.split())
+                edges.append((u, v))
+        except ValueError as exc:
+            raise GraphError(f"bad {'ports' if in_ports else 'edge'} line: {ln!r}") from exc
     return build(n, edges, ports or None)
-
-
-def load_graph_file(path: str) -> PortGraph:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_graph_file(fh.read())

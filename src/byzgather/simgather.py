@@ -48,9 +48,8 @@ class SimGatheringAgent(GatheringAgent):
     base protocol completed), and ``sim_active``.
     """
 
-    def __init__(self, agent_id: int, seq: ExplorationSequence,
-                 x_n: int | None = None, p_n: int | None = None):
-        super().__init__(agent_id, seq, x_n, p_n)
+    def __init__(self, agent_id: int, seq: ExplorationSequence):
+        super().__init__(agent_id, seq)
         self.sim_active = False
         self.r_i: int | None = None
         self.idm: int | None = None

@@ -98,7 +98,7 @@ def test_criterion_2_nonsimultaneous_gathering(ns_suite):
     ok = report("criterion 2: non-simultaneous gathering within the stated bound",
                 not bad, detail)
     assert ok, "\n".join(
-        f"{v.scenario_id}: own_clock={v.metrics['own_clock_rounds']} "
+        f"{v.config.scenario_id}: own_clock={v.metrics['own_clock_rounds']} "
         f"global={v.measured_rounds} bound={v.bound} "
         f"spread={v.metrics['wake_spread']} gathered={v.gathered}"
         for v in bad[:40])
@@ -112,7 +112,7 @@ def test_criterion_3_simultaneous_gathering(sim_suite):
     ok = report("criterion 3: simultaneous gathering within the stated bound",
                 not bad, detail)
     assert ok, "\n".join(
-        f"{v.scenario_id}: rounds={v.measured_rounds} bound={v.bound} "
+        f"{v.config.scenario_id}: rounds={v.measured_rounds} bound={v.bound} "
         f"same_round={v.same_round}" for v in bad[:40])
 
 
@@ -121,7 +121,7 @@ def test_criterion_4_lemma_suites(ns_suite, sim_suite):
     for v in ns_suite.verdicts + sim_suite.verdicts:
         for key in LEMMA_KEYS:
             if not v.lemma_checks[key]:
-                bad.append((v.scenario_id, key))
+                bad.append((v.config.scenario_id, key))
     total = len(ns_suite.verdicts) + len(sim_suite.verdicts)
     ok = report("criterion 4: structural invariants hold on every trace",
                 not bad, f"{len(LEMMA_KEYS)} checks x {total} traces")
@@ -131,7 +131,7 @@ def test_criterion_4_lemma_suites(ns_suite, sim_suite):
 def test_criterion_5_adversary_effectiveness(ns_suite, sim_suite):
     lure_hits = sum(v.metrics["bl_insertions"]
                     for v in ns_suite.verdicts + sim_suite.verdicts
-                    if v.strategy == "lure" and v.f > 0)
+                    if v.config.strategy == "lure" and v.config.f > 0)
     inflation_ok = all(v.lemma_checks.get("trusted_max_id_bounded", True)
                        for v in sim_suite.verdicts)
     ok = report("criterion 5: the betrayer gets blacklisted and id inflation never lands",
@@ -145,7 +145,7 @@ def test_criterion_6_fault_free_baseline(baseline_suite):
            if not (v.gathered and v.same_node and v.bound_satisfied)]
     ok = report("criterion 6: four honest agents gather on every benchmark graph",
                 not bad, f"{len(baseline_suite.verdicts)} graphs, {baseline_suite.elapsed:.0f}s")
-    assert ok, "\n".join(v.scenario_id for v in bad[:40])
+    assert ok, "\n".join(v.config.scenario_id for v in bad[:40])
 
 
 def test_suite_csvs_match_golden(ns_suite, sim_suite, baseline_suite):

@@ -3,42 +3,30 @@ import pytest
 from conftest import seq_of
 
 from byzgather.exploration import (
-    START,
-    BadPort,
     CertificationFailedAfterRetries,
-    IndexOutOfRange,
     build_sequence,
     certify,
-    explo_step,
+    exit_port,
     load_sequence,
     save_sequence,
     walk_visits,
-    x_n,
 )
 from byzgather.portgraph import GraphFamily, build, generate
 
 
+# One EXPLO step is exit_port(offset, entry port, degree).
+
 def test_explo_step_zero_offset_is_identity():
-    assert explo_step(seq_of([0], 5), 0, 2, 3) == 2
+    assert exit_port(0, 2, 3) == 2
 
 
 def test_explo_step_wraparound():
-    assert explo_step(seq_of([1], 5), 0, 3, 3) == 1
+    assert exit_port(1, 3, 3) == 1
 
 
 def test_explo_step_start_convention():
-    # Virtual entry port 1: ((1 - 1 + 2) mod 5) + 1 = 3.
-    assert explo_step(seq_of([2], 5), 0, START, 5) == 3
-
-
-def test_explo_step_errors():
-    seq = seq_of([0, 1], 5)
-    with pytest.raises(IndexOutOfRange):
-        explo_step(seq, 2, 1, 3)
-    with pytest.raises(BadPort):
-        explo_step(seq, 0, 4, 3)
-    with pytest.raises(BadPort):
-        explo_step(seq, 0, 1, 0)
+    # The first move enters through virtual port 1: ((1 - 1 + 2) mod 5) + 1 = 3.
+    assert exit_port(2, None, 5) == 3
 
 
 def test_certify_single_node_empty_sequence():
@@ -102,7 +90,7 @@ def test_build_sequence_is_deterministic():
 
 def test_build_sequence_single_node_world_is_empty():
     seq = build_sequence(1, 0, [build(1, [])])
-    assert x_n(seq) == 0
+    assert seq.length == 0
 
 
 def test_build_sequence_rejects_oversized_graph():

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from byzgather.exploration import certify
@@ -5,6 +7,8 @@ from byzgather.harness import (
     InvalidScenario,
     ParseError,
     ScenarioConfig,
+    acceptance_matrix,
+    baseline_matrix,
     benchmark_graphs,
     certified_sequence,
     check,
@@ -22,6 +26,7 @@ from byzgather.harness import (
     theorem1_bound,
     theorem2_bound,
 )
+from byzgather.portgraph import GraphError, parse_graph_file
 
 
 def test_theorem1_bound_examples():
@@ -126,6 +131,19 @@ def test_scenario_parse_error_is_not_a_scenario_error():
         parse_scenario_text("family = ring\nn = five\n")
 
 
+@pytest.mark.parametrize("parse, text", [
+    (parse_matrix_text, "n = five\n"),
+    (parse_matrix_text, "f = x\n"),
+    (config_from_trace_text, "#cfg scenario_id = a\n"),
+    (parse_graph_file, "3\n0 1 2\n"),
+    (parse_graph_file, "2\n0 a\n"),
+    (parse_graph_file, "2\n0 1\nports\nx: 1\n"),
+])
+def test_parsers_raise_only_documented_errors(parse, text):
+    with pytest.raises((ParseError, InvalidScenario, GraphError)):
+        parse(text)
+
+
 def test_load_scenario_file(tmp_path):
     path = tmp_path / "s.txt"
     path.write_text("family = path\nn = 4\nk = 4\nseed = 1\n", encoding="utf-8")
@@ -215,19 +233,36 @@ def test_trace_export_embeds_config_and_replays():
 
 
 def test_matrix_file_expands_cross_product():
-    text = """
+    base = """
     variant = NS
     families = ring, path
     f = 0, 1
-    k_rules = strict
     strategies = crash, lure
     wake_policies = all_at_once
     seeds = 0, 1
     """
-    configs = parse_matrix_text(text)
-    # ring/path x (f0: one strategy) x 2 seeds + ring/path x f1 x 2 strategies x 2 seeds
-    assert len(configs) == 2 * 1 * 2 + 2 * 2 * 2
-    assert len({c.scenario_id for c in configs}) == len(configs)
+    # ring/path x (f0: one strategy) x 2 seeds + ring/path x f1 x 2 strategies x 2 seeds;
+    # both k rules give k = 4 at f = 0, where the first one listed wins.
+    for rules, expected in (("strict", 2 * 1 * 2 + 2 * 2 * 2),
+                            ("strict, hypothesis", 2 * 1 * 2 + 2 * 2 * 2 * 2)):
+        configs = parse_matrix_text(f"{base}\nk_rules = {rules}\n")
+        assert len(configs) == expected
+        assert len({c.scenario_id for c in configs}) == len(configs)
+        assert {c.team_rule for c in configs if c.f == 0} == {"strict"}
+
+
+def test_builtin_matrices_keep_their_order():
+    # bench/run.py shuffles these lists by seed, so their order is benchmark input.
+    pins = {
+        "NS": "ee0ad6d6ec6a7917059e8db4f95f63f8c130614e527092708acd1e9f6cc9b1ac",
+        "SIM": "5f38d5b36f49a24b45fe9bdf96ad5769008489affdd29b795142ccdcb0a1a8f3",
+        "baseline": "96f7d26488122c3271b32fb2ecf1240f0f8c822561d4eb04d3cd41bdc67b5ae7",
+    }
+    matrices = {"NS": acceptance_matrix("NS"), "SIM": acceptance_matrix("SIM"),
+                "baseline": baseline_matrix()}
+    for name, configs in matrices.items():
+        listing = repr([(c.scenario_id, c.ids, c.byzantine_ids) for c in configs])
+        assert hashlib.sha256(listing.encode()).hexdigest() == pins[name], name
 
 
 def test_cli_suite_with_matrix_file(tmp_path, capsys):

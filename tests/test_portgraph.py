@@ -10,7 +10,6 @@ from byzgather.portgraph import (
     SelfLoop,
     build,
     generate,
-    neighbor,
     parse_graph_file,
 )
 
@@ -69,7 +68,7 @@ def test_port_out_of_range():
     with pytest.raises(PortOutOfRange):
         g.neighbor(0, 3)
     with pytest.raises(PortOutOfRange):
-        neighbor(g, 0, 0)
+        g.neighbor(0, 0)
 
 
 def test_neighbor_is_an_involution_everywhere():
