@@ -65,9 +65,9 @@ def wake_schedule(policy: str, agent_ids: list[int], byzantine_ids: set[int],
 class ByzantineStrategy:
     """Base stepper for faulty agents: stationary, frozen presented state.
 
-    A strategy whose steps after its first one never move and never
-    present a new state sets ``static = True``; the engine then steps it
-    only in its wake round.
+    A strategy that holds one fixed pose and never moves sets ``static =
+    True``; the engine steps it only in its wake round, so its ``step``
+    just returns that pose.
     """
 
     name = "crash"
@@ -103,18 +103,11 @@ class FakeTarget(ByzantineStrategy):
     name = "fake_target"
     static = True
 
-    def __init__(self, agent_id, seed, f):
-        super().__init__(agent_id, seed, f)
-        self._sent = False
-
     def _pose(self) -> PresentedState:
         return PresentedState(STA_MG_TA, True, True, self.f, self.agent_id,
                               None, frozenset((self.agent_id,)), False, False)
 
     def step(self, world, agent_id):
-        if self._sent:
-            return None, None
-        self._sent = True
         return self._pose(), None
 
 
@@ -131,6 +124,7 @@ class Lure(FakeTarget):
 
     def __init__(self, agent_id, seed, f):
         super().__init__(agent_id, seed, f)
+        self._sent = False
         self._streak = 0
         self._flip_left = 0
         self._flipped = False
@@ -171,14 +165,7 @@ class FakeGroup(ByzantineStrategy):
     name = "fake_group"
     static = True
 
-    def __init__(self, agent_id, seed, f):
-        super().__init__(agent_id, seed, f)
-        self._sent = False
-
     def step(self, world, agent_id):
-        if self._sent:
-            return None, None
-        self._sent = True
         presented = PresentedState(STA_G_WG, True, False, self.f, None, 0,
                                    frozenset((self.agent_id,)), True, False)
         return presented, None
@@ -213,14 +200,7 @@ class IdInflator(ByzantineStrategy):
     static = True
     FAKE_ID = 1_000_003
 
-    def __init__(self, agent_id, seed, f):
-        super().__init__(agent_id, seed, f)
-        self._sent = False
-
     def step(self, world, agent_id):
-        if self._sent:
-            return None, None
-        self._sent = True
         presented = PresentedState(STA_MG_SA, True, True, self.f, None, None,
                                    frozenset((self.agent_id, self.FAKE_ID)), True, False)
         return presented, None

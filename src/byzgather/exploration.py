@@ -143,17 +143,7 @@ def build_sequence(
 
 
 def save_sequence(seq: ExplorationSequence, path: str) -> None:
-    """Cache a certified sequence so repeated runs skip reconstruction."""
+    """Write a sequence as two lines: "bound seed length", then the offsets."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{seq.certified_bound} {seq.seed} {seq.length}\n")
         fh.write(" ".join(map(str, seq.offsets)) + "\n")
-
-
-def load_sequence(path: str) -> ExplorationSequence:
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().split()
-        bound, seed, length = int(header[0]), int(header[1]), int(header[2])
-        offsets = tuple(map(int, fh.readline().split()))
-    if len(offsets) != length:
-        raise ExplorationError(f"corrupt sequence cache {path!r}")
-    return ExplorationSequence(offsets, bound, seed)

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 from .adversary import STRATEGY_NAMES, WAKE_POLICIES, make_strategy, wake_schedule
 from .exploration import ExplorationSequence, build_sequence, save_sequence
-from .gathering import GatheringAgent
+from .gathering import GatheringAgent, cist_length
 from .portgraph import FAMILY_KINDS, GraphFamily, PortGraph, generate
 from .simcore import AgentSpec, Engine, Trace
 from .simgather import SimGatheringAgent
@@ -55,7 +55,7 @@ def theorem1_bound(x_n: int, f: int, lambda_good: int) -> int:
     """
     if x_n < 0 or f < 0 or lambda_good < 1:
         raise ValueError("bound arguments out of range")
-    return x_n + 3 * (2 * (lambda_good.bit_length() - 1) + f + 7) * (3 * x_n + 1)
+    return x_n + 3 * (cist_length(lambda_good) + f + 1) * (3 * x_n + 1)
 
 
 def theorem2_bound(x_n: int, f: int, lambda_all: int) -> int:
@@ -67,7 +67,7 @@ def theorem2_bound(x_n: int, f: int, lambda_all: int) -> int:
     """
     if x_n < 0 or f < 0 or lambda_all < 1:
         raise ValueError("bound arguments out of range")
-    return 3 * x_n + 3 * (2 * (lambda_all.bit_length() - 1) + f + 7) * (3 * x_n + 1) + 1
+    return 3 * x_n + 3 * (cist_length(lambda_all) + f + 1) * (3 * x_n + 1) + 1
 
 
 def strict_team_size(f: int) -> int:
@@ -270,9 +270,6 @@ def load_scenario(path: str) -> ScenarioConfig:
 
 BENCHMARK_SEEDS = (0, 1, 2)
 
-_BENCH_CACHE: dict[int, list[tuple[GraphFamily, PortGraph]]] = {}
-_SEQ_CACHE: dict[tuple, ExplorationSequence] = {}
-
 
 def benchmark_families(N: int) -> list[GraphFamily]:
     fams: list[GraphFamily] = []
@@ -294,32 +291,28 @@ def _benchmark_graph(fam: GraphFamily) -> PortGraph:
     return generate(fam)
 
 
+@functools.cache
 def benchmark_graphs(N: int) -> list[tuple[GraphFamily, PortGraph]]:
     """Registered corpus for bound N, deduplicated by labeled-graph identity."""
-    cached = _BENCH_CACHE.get(N)
-    if cached is None:
-        seen = set()
-        cached = []
-        for fam in benchmark_families(N):
-            g = _benchmark_graph(fam)
-            fp = g.fingerprint()
-            if fp not in seen:
-                seen.add(fp)
-                cached.append((fam, g))
-        _BENCH_CACHE[N] = cached
-    return cached
+    seen = set()
+    corpus = []
+    for fam in benchmark_families(N):
+        g = _benchmark_graph(fam)
+        if g not in seen:
+            seen.add(g)
+            corpus.append((fam, g))
+    return corpus
 
 
 def certified_sequence(N: int, seed: int, extra_graphs: tuple[PortGraph, ...] = ()) -> ExplorationSequence:
-    registered = benchmark_graphs(N)
-    fps = {g.fingerprint() for _, g in registered}
-    extras = tuple(g for g in extra_graphs if g.fingerprint() not in fps)
-    key = (N, seed, tuple(g.fingerprint() for g in extras))
-    seq = _SEQ_CACHE.get(key)
-    if seq is None:
-        seq = build_sequence(N, seed, [g for _, g in registered] + list(extras))
-        _SEQ_CACHE[key] = seq
-    return seq
+    registered = {g for _, g in benchmark_graphs(N)}
+    return _certified_sequence(N, seed, tuple(g for g in extra_graphs if g not in registered))
+
+
+@functools.cache
+def _certified_sequence(N: int, seed: int, extras: tuple[PortGraph, ...]) -> ExplorationSequence:
+    # Looks build_sequence up as a module global at call time, so a tracer may rebind it.
+    return build_sequence(N, seed, [g for _, g in benchmark_graphs(N)] + list(extras))
 
 
 # -- running one scenario -----------------------------------------------------
@@ -329,7 +322,6 @@ def run_scenario(config: ScenarioConfig) -> tuple["Verdict", Trace]:
     graph = generate(GraphFamily(config.family, config.n, config.graph_seed))
     seq = certified_sequence(config.N, config.exploration_seed, (graph,))
     X = seq.length
-    P = 3 * X + 1
     byz = set(config.byzantine_ids)
     schedule = wake_schedule(config.wake_policy, list(config.ids), byz, config.seed, X)
     rng = random.Random(f"place:{config.seed}")
@@ -345,7 +337,7 @@ def run_scenario(config: ScenarioConfig) -> tuple["Verdict", Trace]:
         specs.append(AgentSpec(aid, aid in byz, stepper, start, schedule[aid]))
     cap = config.round_cap or 4 * theorem2_bound(X, config.f, config.lambda_all)
     engine = Engine(graph, specs, cap, scenario_id=config.scenario_id,
-                    variant=config.variant, x_n=X, p_n=P)
+                    variant=config.variant, x_n=X)
     trace = engine.run()
     return check(trace, config), trace
 
@@ -742,7 +734,7 @@ def _cmd_certify(args) -> int:
     print(f"certified sequence for N={args.n}, seed={args.seed}: X_N={seq.length}")
     if args.out:
         save_sequence(seq, args.out)
-        print(f"cached to {args.out}")
+        print(f"written to {args.out}")
     return 0
 
 

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from bisect import bisect_right, insort
 from heapq import heappop, heappush
+from operator import itemgetter
 from typing import Iterable, NamedTuple
 
 from .portgraph import PortGraph
@@ -122,12 +123,11 @@ class AgentSpec(NamedTuple):
 class Trace:
     """Deterministic record of one run: wakes, moves, events, terminations."""
 
-    def __init__(self, scenario_id: str, variant: str, x_n: int, p_n: int,
+    def __init__(self, scenario_id: str, variant: str, x_n: int,
                  graph: PortGraph, good_ids: frozenset[int], byz_ids: frozenset[int]):
         self.scenario_id = scenario_id
         self.variant = variant
         self.x_n = x_n
-        self.p_n = p_n
         self.graph = graph
         self.good_ids = good_ids
         self.byz_ids = byz_ids
@@ -137,6 +137,11 @@ class Trace:
         self.events: list[tuple[int, int, str, object]] = []
         self.rounds = 0
         self.capped = False
+
+    @property
+    def p_n(self) -> int:
+        """Phase length: ``3*x_n + 1`` rounds."""
+        return 3 * self.x_n + 1
 
     @property
     def agent_ids(self) -> list[int]:
@@ -162,45 +167,38 @@ class Trace:
         return [(r, aid, payload) for r, aid, k, payload in self.events if k == kind]
 
     def export_lines(self) -> Iterable[str]:
-        """Debug export, one "round,agent,node,status,stage" line per pair.
+        """Change-only export, one "round,agent,kind,value" record per change.
 
+        ``wake,<node>`` and ``at,<node>`` name the node an agent stands on
+        from that round on, each protocol event follows as
+        ``<kind>,<payload>``, and ``terminate,<node>`` names the node it
+        halted on.  Records are sorted by round, then agent; one agent's
+        records of one round keep that order, events in engine order.
         Node indices appear only here, never in observations.
         """
-        end_ci_round = {aid: r for r, aid, k, _ in self.events if k == "end_ci"}
-        sim_round = {aid: r for r, aid, k, _ in self.events if k == "sim_mode"}
-        x, p = self.x_n, self.p_n
-        # Per agent: id, wake, last active round, position log, cursor into it.
-        agents = []
-        for aid in self.agent_ids:
-            term = self.termination.get(aid)
-            agents.append([aid, self.wake_round.get(aid), term[0] if term else self.rounds,
-                           self.position_log.get(aid), 0])
-        yield f"# scenario {self.scenario_id} variant {self.variant} x_n {x} rounds {self.rounds}"
-        for r in range(1, self.rounds + 1):
-            for a in agents:
-                aid, wake, last, log, i = a
-                if wake is None or r < wake:
-                    yield f"{r},{aid},-,dormant,-"
-                    continue
-                while i + 1 < len(log) and log[i + 1][0] <= r:
-                    i += 1
-                a[4] = i
-                node = log[i][1]
-                if r > last:
-                    yield f"{r},{aid},{node},terminated,done"
-                elif aid in self.byz_ids:
-                    yield f"{r},{aid},{node},active,byz"
-                elif aid in sim_round and r >= sim_round[aid]:
-                    yield f"{r},{aid},{node},active,simterm"
-                else:
-                    pos = schedule_slot(r - wake + 1, x, p)
-                    if pos is None:
-                        stage = "explo"
-                    elif pos[0] == 0:
-                        stage = "mgst" if aid in end_ci_round and r > end_ci_round[aid] else "cist"
-                    else:
-                        stage = "gst1" if pos[0] == 1 else "gst2"
-                    yield f"{r},{aid},{node},active,{stage}"
+        records = []
+        for aid, ((wake, node), *moves) in self.position_log.items():
+            records.append((wake, aid, f"wake,{node}"))
+            records.extend((r, aid, f"at,{u}") for r, u in moves)
+        records.extend((r, aid, f"{kind},{_payload_text(payload)}")
+                       for r, aid, kind, payload in self.events)
+        records.extend((r, aid, f"terminate,{node}") for aid, (r, node) in self.termination.items())
+        records.sort(key=itemgetter(0, 1))
+        yield f"# scenario {self.scenario_id} variant {self.variant} x_n {self.x_n} rounds {self.rounds}"
+        for r, aid, text in records:
+            yield f"{r},{aid},{text}"
+
+
+def _payload_text(payload) -> str:
+    """An event payload as text: tuple fields joined by ";", id collections by spaces, sets sorted."""
+    if not isinstance(payload, tuple):
+        payload = (payload,)
+    fields = []
+    for value in payload:
+        if isinstance(value, frozenset):
+            value = sorted(value)
+        fields.append(" ".join(map(str, value)) if isinstance(value, (list, tuple)) else str(value))
+    return ";".join(fields)
 
 
 class WorldView:
@@ -263,7 +261,7 @@ class Engine:
 
     def __init__(self, graph: PortGraph, specs: list[AgentSpec], round_cap: int,
                  scenario_id: str = "adhoc", variant: str = "NS",
-                 x_n: int = 0, p_n: int = 1):
+                 x_n: int = 0):
         specs = sorted(specs, key=lambda s: s.agent_id)
         ids = [s.agent_id for s in specs]
         if len(set(ids)) != len(ids):
@@ -294,7 +292,7 @@ class Engine:
         self.round = 0
         good = frozenset(aid for aid, b in zip(ids, self.is_byz) if not b)
         byz = frozenset(aid for aid, b in zip(ids, self.is_byz) if b)
-        self.trace = Trace(scenario_id, variant, x_n, p_n, graph, good, byz)
+        self.trace = Trace(scenario_id, variant, x_n, graph, good, byz)
         self.world = WorldView(self)
         self._wake: list[int | None] = [None] * len(specs)
         self._every: list[int] = []  # active steppers stepped every round, sorted

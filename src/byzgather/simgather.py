@@ -15,7 +15,7 @@ same quorum and stop together.
 from __future__ import annotations
 
 from .exploration import ExplorationSequence
-from .gathering import GatheringAgent, most_frequent_smallest
+from .gathering import GatheringAgent, cist_length, most_frequent_smallest
 from .simcore import TERMINATE, ObservationView
 
 
@@ -23,7 +23,7 @@ def termination_threshold(x_n: int, idm: int) -> int:
     """Rounds (on an agent's own clock) to wait for the slowest possible peer."""
     if idm < 1:
         raise ValueError("ids are integers >= 1")
-    return 2 * x_n + 3 * (2 * (idm.bit_length() - 1) + 6) * (3 * x_n + 1)
+    return 2 * x_n + 3 * cist_length(idm) * (3 * x_n + 1)
 
 
 def trusted_max_id(view: ObservationView, gef: int) -> int | None:

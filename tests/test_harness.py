@@ -298,3 +298,11 @@ def test_cli_certify_and_run(tmp_path, capsys):
 
     assert main(["replay", str(trace_file)]) == 0
     assert "byte-identical" in capsys.readouterr().out
+
+    lines = trace_file.read_text(encoding="utf-8").splitlines()
+    i = next(i for i, line in enumerate(lines) if ",at," in line)
+    r, aid, _, node = lines[i].split(",")
+    lines[i] = f"{r},{aid},at,{int(node) + 1}"
+    trace_file.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert main(["replay", str(trace_file)]) == 1
+    assert "DIVERGED" in capsys.readouterr().out

@@ -4,7 +4,7 @@ import pytest
 from conftest import ScriptedAgent, presented
 
 from byzgather.portgraph import GraphFamily, build, generate
-from byzgather.simcore import TERMINATE, AgentSpec, Engine, run
+from byzgather.simcore import TERMINATE, AgentSpec, Engine, run, schedule_slot
 
 
 def two_node():
@@ -212,9 +212,78 @@ def _pinned_config(variant, family, n, f, rule, strategy, wake, seed, cap=None):
         strategy=strategy, wake_policy=wake, seed=seed, team_rule=rule, round_cap=cap)
 
 
-# SHA-256 of export_trace_text, recorded from the engine that stepped every
-# agent in every round.  Together: both variants, f = 0, 1, 2, static and
-# every-round strategies, all three wake policies, and a capped run.
+def _read_records(text):
+    """The sparse export parsed back: config fields, header, and per-agent records."""
+    cfg, header = {}, None
+    wake, log, term, first = {}, {}, {}, {"end_ci": {}, "sim_mode": {}}
+    for line in text.splitlines():
+        if line.startswith("#cfg "):
+            key, _, value = line[5:].partition(" = ")
+            cfg[key] = value
+        elif line.startswith("# scenario "):
+            header = line.split()
+        else:
+            r, aid, kind, value = line.split(",", 3)
+            r, aid = int(r), int(aid)
+            if kind == "wake":
+                wake[aid] = r
+            if kind in ("wake", "at"):
+                log.setdefault(aid, []).append((r, int(value)))
+            elif kind == "terminate":
+                term[aid] = (r, int(value))
+            elif kind in first:
+                first[kind][aid] = r
+    return cfg, header, wake, log, term, first
+
+
+def _dense_export(text):
+    """The dense "round,agent,node,status,stage" export the sparse records stand for.
+
+    It is what the export wrote before it became change-only, so the pinned
+    digests below hash this expansion.
+    """
+    cfg, header, _, log, term, first = _read_records(text)
+    x, rounds = int(header[header.index("x_n") + 1]), int(header[-1])
+    p = 3 * x + 1
+    byz = set(map(int, cfg["byzantine_ids"].split()))
+    end_ci, sim = first["end_ci"], first["sim_mode"]
+    lines = [line for line in text.splitlines() if line.startswith("#")]
+    agents = [(aid, log.get(aid), term.get(aid, (rounds,))[0])
+              for aid in sorted(map(int, cfg["ids"].split()))]
+    cursor = {}
+    for r in range(1, rounds + 1):
+        for aid, moves, last in agents:
+            if moves is None or r < moves[0][0]:
+                lines.append(f"{r},{aid},-,dormant,-")
+                continue
+            i = cursor.get(aid, 0)
+            while i + 1 < len(moves) and moves[i + 1][0] <= r:
+                i += 1
+            cursor[aid] = i
+            node = moves[i][1]
+            if r > last:
+                lines.append(f"{r},{aid},{node},terminated,done")
+                continue
+            if aid in byz:
+                stage = "byz"
+            elif aid in sim and r >= sim[aid]:
+                stage = "simterm"
+            else:
+                pos = schedule_slot(r - moves[0][0] + 1, x, p)
+                if pos is None:
+                    stage = "explo"
+                elif pos[0] == 0:
+                    stage = "mgst" if aid in end_ci and r > end_ci[aid] else "cist"
+                else:
+                    stage = "gst1" if pos[0] == 1 else "gst2"
+            lines.append(f"{r},{aid},{node},active,{stage}")
+    return "\n".join(lines) + "\n"
+
+
+# SHA-256 of the dense expansion of export_trace_text, recorded from the
+# engine that stepped every agent in every round, when the export itself
+# was dense.  Together: both variants, f = 0, 1, 2, static and every-round
+# strategies, all three wake policies, and a capped run.
 PINNED_TRACES = [
     (("NS", "ring", 3, 0, "strict", "crash", "all_at_once", 0),
      "9b259ff4d5f60e6aadd419ccf0ea89f6e02cf80cd3211da2d06c129e6cf244a0"),
@@ -244,4 +313,9 @@ def test_trace_exports_match_pinned_digests(case, digest):
 
     cfg = _pinned_config(*case)
     _, trace = run_scenario(cfg)
-    assert hashlib.sha256(export_trace_text(trace, cfg).encode()).hexdigest() == digest
+    text = export_trace_text(trace, cfg)
+    _, _, wake, log, term, _ = _read_records(text)
+    assert wake == trace.wake_round
+    assert log == trace.position_log
+    assert term == trace.termination
+    assert hashlib.sha256(_dense_export(text).encode()).hexdigest() == digest
