@@ -27,8 +27,21 @@ from .simcore import (
     TERMINATE,
     ObservationView,
     PresentedState,
-    schedule_slot,
 )
+
+
+def schedule_slot(count: int, x: int, p: int) -> tuple[int, int] | None:
+    """Where own-clock round ``count`` (1-based) falls in a good agent's schedule.
+
+    None during the initial walk (counts ``1..x``); afterwards ``(slot,
+    rp)``, where ``slot`` 0 is a main phase and 1, 2 the two rendezvous
+    phases that follow it, and ``rp`` is the 1-based round within the
+    ``p``-round phase.
+    """
+    if count <= x:
+        return None
+    q, rp = divmod(count - x - 1, p)
+    return q % 3, rp + 1
 
 
 class TooFewIdsCollected(ValueError):
@@ -112,10 +125,17 @@ class GatheringAgent:
     round and returns a stay (None), a move (exit port), or TERMINATE.
     Events of interest to the verification harness are appended to
     ``events`` as (kind, payload) pairs and drained by the engine.
+
+    ``_plan`` fixes each phase's plan in the phase's first round: three
+    callables, each None when the phase does without it.  ``_look(view,
+    rp)`` is called in each round of the walk window ``X+1..2X+1``, and
+    the agent moves in rounds up to ``2X`` until it returns True;
+    ``_watch(view, rp)`` is called in every other round, including the
+    window rounds after that; ``_end()`` is called in the phase's last
+    round and returns its action.
     """
 
     def __init__(self, agent_id: int, seq: ExplorationSequence):
-        self.seq = seq
         self.X = seq.length
         self.P = 3 * self.X + 1
         self.state = AgentState(agent_id)
@@ -124,16 +144,9 @@ class GatheringAgent:
         self.terminated = False
         self.flag_t = False  # only the simultaneous variant ever sets this
         self._offsets = seq.offsets
-        self._bit = 1
-        self._found_rp: int | None = None
-        self._gave_up = False
-        self._g2_mode = 0
-        self._g2_min: int | None = None
-        self._g2_found = False
         self._in_mgst_next = False
-        self._cons_ver = -1
-        self._gl_ver = -1
-        self._rec_ver = -1
+        self._look = self._watch = self._end = None
+        self._group: int | None = None  # the group a second rendezvous phase hunts
 
     # -- wire format ------------------------------------------------------
 
@@ -149,26 +162,27 @@ class GatheringAgent:
     def step(self, view: ObservationView, entry_port: int | None):
         st = self.state
         st.count += 1
-        c = st.count
         X, P = self.X, self.P
-        pos = schedule_slot(c, X, P)
+        pos = schedule_slot(st.count, X, P)
         if pos is None:
-            action = self._walk_move(view, entry_port, c - 1)
+            action = self._walk_move(view, entry_port, st.count - 1)
+            in_mgst = st.end_ci and st.count == X
         else:
             slot, rp = pos
-            if slot == 0:
-                if st.end_ci:
-                    action = self._mgst_round(view, entry_port, rp)
-                else:
-                    action = self._cist_round(view, entry_port, rp)
-            elif slot == 1:
-                action = self._gst1_round(view, entry_port, rp)
-            else:
-                action = self._gst2_round(view, entry_port, rp)
-        in_mgst = False
-        if st.end_ci:
-            nxt = schedule_slot(c + 1, X, P)
-            in_mgst = nxt is not None and nxt[0] == 0
+            if rp == 1:
+                self._plan(slot)
+            action = None
+            if self._look is not None and X < rp <= 2 * X + 1:
+                if self._look(view, rp):
+                    self._look = None
+                elif rp <= 2 * X:
+                    action = self._walk_move(view, entry_port, rp - X - 1)
+            elif self._watch is not None:
+                self._watch(view, rp)
+            if rp == P and self._end is not None:
+                action = self._end()
+            # Whether the next round falls in a main phase.
+            in_mgst = st.end_ci and (slot if rp < P else slot + 1) % 3 == 0
         if in_mgst != self._in_mgst_next:
             self._in_mgst_next = in_mgst
             self.presented_dirty = True
@@ -182,51 +196,27 @@ class GatheringAgent:
         stay, log no event, leave ``presented_dirty`` unset and change no
         state a later step reads (the round counter aside).  Due are every
         initial-walk count, each phase's first and last round, and the
-        middle third ``X+1..2X+1`` of phases in which the agent walks or
-        watches.
+        walk window ``X+1..2X+1`` while the plan's ``_look`` is set.
         """
-        st = self.state
-        c = st.count + 1
-        X, P = self.X, self.P
-        pos = schedule_slot(c, X, P)
-        if pos is None:
+        c = self.state.count + 1
+        pos = schedule_slot(c, self.X, self.P)
+        if pos is None or pos[1] == 1:
             return c
-        slot, rp = pos
-        if rp == 1:
-            return c
-        if slot == 0:
-            acts = st.sta == STA_MG_SA if st.end_ci else self._bit == 1
-        elif slot == 1:
-            acts = st.end_ci and st.sta != STA_G_WG
-        else:
-            acts = st.end_ci and self._g2_mode == 2
-        if acts and rp <= 2 * X + 1:
-            return c + max(0, min(X + 1, P) - rp)
-        return c + P - rp
+        rp = pos[1]
+        if self._look is not None and rp <= 2 * self.X + 1:
+            return c + max(0, self.X + 1 - rp)
+        return c + self.P - rp
 
     def watches_view(self) -> bool:
         """False if every step before ``next_due()`` ignores the view.
 
         Such steps, on any view, return a stay, log no event, leave
         ``presented_dirty`` unset and change no state a later step reads,
-        so a changed view need not be stepped on until the due count.  The
-        views read between due counts are the ones recorded every round:
-        collected ids in a waiting id-collection phase, the group-making
-        vote of a target or of a searcher that found its target, and the
-        group evidence a waiting group member gathers.
+        so a changed view need not be stepped on until the due count.
+        Outside the initial walk, only the plan's ``_watch`` reads views
+        between due counts.
         """
-        st = self.state
-        pos = schedule_slot(st.count + 1, self.X, self.P)
-        if pos is None:
-            return True
-        slot, rp = pos
-        if slot == 0:
-            if not st.end_ci:
-                return self._bit == 0
-            if st.sta == STA_MG_TA:
-                return True
-            return st.sta == STA_MG_SA and rp > 2 * self.X + 1 and not self._gave_up
-        return slot == 1 and st.end_ci and st.sta == STA_G_WG
+        return self.state.count < self.X or self._watch is not None
 
     def _walk_move(self, view: ObservationView, entry_port: int | None, i: int):
         d = view.degree
@@ -234,110 +224,107 @@ class GatheringAgent:
             return None
         return exit_port(self._offsets[i], None if i == 0 else entry_port, d)
 
-    def _record_ids(self, view: ObservationView) -> None:
-        if view.version == self._rec_ver:
-            return
-        self._rec_ver = view.version
+    # -- phase plans --------------------------------------------------------
+
+    def _plan(self, slot: int) -> None:
         st = self.state
-        if not view.ids <= st.il:
-            st.il |= view.ids
-            self.presented_dirty = True
-
-    # -- id collection stage ----------------------------------------------
-
-    def _cist_round(self, view: ObservationView, entry_port: int | None, rp: int):
-        st = self.state
-        X = self.X
-        if rp == 1:
-            self._bit = extended_label_bit(st.id, st.x)
-        action = None
-        if self._bit == 0:
-            # Stationary all phase; every co-located agent counts as met.
-            self._record_ids(view)
-        else:
-            if X < rp <= 2 * X:
-                self._record_ids(view)
-                action = self._walk_move(view, entry_port, rp - X - 1)
-            elif rp == 2 * X + 1:
-                # The node reached by the walk's final move is part of it.
-                self._record_ids(view)
-        if rp == self.P:
-            if st.x == cist_length(st.id):
-                try:
-                    st.estf = estimate_f(len(st.il))
-                except TooFewIdsCollected:
-                    st.estf = 0  # only reachable in sub-minimum unit-test teams
-                st.x = 1
-                st.end_ci = True
-                self.presented_dirty = True
-                self.events.append(("end_ci", (frozenset(st.il), st.estf)))
-            else:
-                st.x += 1
-        return action
-
-    # -- group-making stage -------------------------------------------------
-
-    def _mgst_round(self, view: ObservationView, entry_port: int | None, rp: int):
-        st = self.state
-        X = self.X
-        if rp == 1:
+        self._look = self._watch = self._end = None
+        if slot == 0:
+            self._end = self._end_main_phase
+            if not st.end_ci:
+                # Id collection: walk on label bit 1, else wait; every agent
+                # met on the way, or at the waiting node, counts as collected.
+                if extended_label_bit(st.id, st.x):
+                    self._look = self._record_ids
+                else:
+                    self._watch = self._record_ids
+                return
+            # Group making: targets wait and vote, searchers hunt their target.
             if st.x == 1:
                 smallest = sorted(st.il)[: st.estf + 1]
                 st.sta = STA_MG_TA if st.id in smallest else STA_MG_SA
                 self.presented_dirty = True
                 self.events.append(("mgst_role", st.sta))
-            if st.sta == STA_MG_TA:
-                if st.tar != st.id:
-                    st.tar = st.id
-                    self.presented_dirty = True
-            elif st.sta == STA_MG_SA:
-                tar = min(st.il - st.bl)
+            if st.sta == STA_MG_TA or st.sta == STA_MG_SA:
+                tar = st.id if st.sta == STA_MG_TA else min(st.il - st.bl)
                 if st.tar != tar:
                     st.tar = tar
                     self.presented_dirty = True
-                self._found_rp = None
-                self._gave_up = False
-                self._cons_ver = -1
-        action = None
-        if st.sta == STA_MG_TA:
-            self._consensus(view)
-        elif st.sta == STA_MG_SA:
-            tar = st.tar
-            if rp <= X:
-                pass
-            elif rp <= 2 * X:
-                if self._found_rp is None:
-                    if tar in view.ids and tar != st.id:
-                        self._found_rp = rp
-                        self._consensus(view)
-                    else:
-                        action = self._walk_move(view, entry_port, rp - X - 1)
+                if st.sta == STA_MG_TA:
+                    self._watch = self._consensus
                 else:
-                    # Watch window: rounds strictly after the find, up to 2X.
-                    if tar not in st.bl and self._target_suspicious(view, tar):
-                        self._blacklist(tar)
-                    self._consensus(view)
-            elif rp == 2 * X + 1:
-                if self._found_rp is None:
-                    if tar in view.ids and tar != st.id:
-                        self._found_rp = rp
-                        self._consensus(view)
-                    else:
-                        # Walk complete without a meeting: the target cannot
-                        # be a waiting good agent.
-                        self._blacklist(tar)
-                        self._gave_up = True
-                else:
-                    self._consensus(view)
+                    self._look = self._hunt
+            # else: the agent already belongs to a group; it holds position so
+            # the group stays findable (unreachable before its termination in
+            # fault-free timing, defensive otherwise).
+        elif not st.end_ci:
+            pass  # rendezvous phases before id collection ends: wait
+        elif slot == 1:
+            # Gather group evidence, waiting if in a waiting group, else walking.
+            if st.sta == STA_G_WG:
+                self._watch = self._record_pairs
             else:
-                if not self._gave_up:
-                    self._consensus(view)
-        # else: the agent already belongs to a group; it holds position so
-        # the group stays findable (unreachable before its termination in
-        # fault-free timing, defensive otherwise).
-        if rp == self.P:
+                self._look = self._record_pairs
+        else:
+            rel = reliable_gids(st.gl, st.estf)
+            if rel:
+                # Hunt the smallest reliable group unless waiting in it; either
+                # way the agent terminates where it stands at the phase's end.
+                if not (st.sta == STA_G_WG and st.gid == min(rel)):
+                    self._group = min(rel)
+                    self._look = self._waiting_group_here
+                self._end = self._halt
+
+    def _end_main_phase(self):
+        st = self.state
+        if st.end_ci or st.x != cist_length(st.id):
             st.x += 1
-        return action
+            return
+        try:
+            st.estf = estimate_f(len(st.il))
+        except TooFewIdsCollected:
+            st.estf = 0  # only reachable in sub-minimum unit-test teams
+        st.x = 1
+        st.end_ci = True
+        self.presented_dirty = True
+        self.events.append(("end_ci", (frozenset(st.il), st.estf)))
+
+    def _halt(self):
+        return TERMINATE
+
+    # -- id collection ------------------------------------------------------
+
+    def _record_ids(self, view: ObservationView, rp: int) -> bool:
+        """Collect the co-located ids; as a ``_look`` it walks the whole window."""
+        st = self.state
+        if not view.ids <= st.il:
+            st.il |= view.ids
+            self.presented_dirty = True
+        return False
+
+    # -- group making -------------------------------------------------------
+
+    def _hunt(self, view: ObservationView, rp: int) -> bool:
+        """A searcher's walk: stop at the target, or blacklist it when the walk ends."""
+        st = self.state
+        tar = st.tar
+        if tar in view.ids and tar != st.id:
+            self._watch = self._watch_target
+            self._consensus(view)
+            return True
+        if rp == 2 * self.X + 1:
+            # Walk complete without a meeting: the target cannot be a waiting
+            # good agent.
+            self._blacklist(tar)
+        return False
+
+    def _watch_target(self, view: ObservationView, rp: int) -> None:
+        """After the find: blacklist a target that leaves or drops its claim by round 2X."""
+        st = self.state
+        tar = st.tar
+        if rp <= 2 * self.X and tar not in st.bl and self._target_suspicious(view, tar):
+            self._blacklist(tar)
+        self._consensus(view)
 
     def _target_suspicious(self, view: ObservationView, tar: int) -> bool:
         for e in view.entries:
@@ -351,14 +338,14 @@ class GatheringAgent:
             st.bl.add(tar)
             self.events.append(("bl_add", tar))
 
-    def _consensus(self, view: ObservationView) -> None:
-        """Vote on the fault estimate and detect a formed group, at most once."""
+    def _consensus(self, view: ObservationView, rp: int | None = None) -> None:
+        """Vote on the fault estimate and detect a formed group, at most once.
+
+        ``rp`` is unused; it lets a target take this as its ``_watch``.
+        """
         st = self.state
         if st.gid is not None or st.estf is None:
             return
-        if view.version == self._cons_ver:
-            return
-        self._cons_ver = view.version
         mg = [e for e in view.entries if e.presented.in_mgst]
         if len(mg) < 4 * st.estf:
             return
@@ -375,82 +362,26 @@ class GatheringAgent:
         st.gid = tar
         member_ids = sorted(e.id for e in gc)
         st.sta = STA_G_EG if st.id in member_ids[: 2 * st.gef + 2] else STA_G_WG
+        self._watch = None  # a group member watches nothing more this phase
         self.presented_dirty = True
         self.events.append(("gid_set", (st.gid, st.gef, tuple(member_ids))))
 
-    # -- gathering stage ----------------------------------------------------
+    # -- rendezvous -----------------------------------------------------------
 
-    def _record_pairs(self, view: ObservationView) -> None:
-        if view.version == self._gl_ver:
-            return
-        self._gl_ver = view.version
-        st = self.state
-        own = st.id
-        gl = st.gl
+    def _record_pairs(self, view: ObservationView, rp: int) -> bool:
+        """Collect (group id, agent id) evidence; as a ``_look`` it walks the whole window."""
+        own = self.state.id
+        gl = self.state.gl
         for e in view.entries:
             g = e.presented.gid
             if g is not None and e.id != own:
                 gl.add((g, e.id))
+        return False
 
-    def _gst1_round(self, view: ObservationView, entry_port: int | None, rp: int):
-        st = self.state
-        if not st.end_ci:
-            return None
-        X = self.X
-        if rp == 1:
-            self._gl_ver = -1
-        if st.sta == STA_G_WG:
-            self._record_pairs(view)
-            return None
-        if rp <= X:
-            return None
-        if rp <= 2 * X:
-            self._record_pairs(view)
-            return self._walk_move(view, entry_port, rp - X - 1)
-        if rp == 2 * X + 1:
-            self._record_pairs(view)
-        return None
-
-    def _gst2_round(self, view: ObservationView, entry_port: int | None, rp: int):
-        st = self.state
-        if not st.end_ci:
-            return None
-        X = self.X
-        if rp == 1:
-            rel = reliable_gids(st.gl, st.estf)
-            if not rel:
-                self._g2_mode = 0
-            elif st.sta == STA_G_WG and st.gid == min(rel):
-                self._g2_mode = 1
-            else:
-                self._g2_mode = 2
-                self._g2_min = min(rel)
-                self._g2_found = False
-        mode = self._g2_mode
-        action = None
-        if mode == 1:
-            if rp == self.P:
-                return TERMINATE
-        elif mode == 2:
-            if rp <= X:
-                pass
-            elif rp <= 2 * X:
-                if not self._g2_found:
-                    if self._waiting_group_here(view):
-                        self._g2_found = True
-                    else:
-                        action = self._walk_move(view, entry_port, rp - X - 1)
-            elif rp == 2 * X + 1:
-                if not self._g2_found and self._waiting_group_here(view):
-                    self._g2_found = True
-            if rp == self.P:
-                return TERMINATE
-        return action
-
-    def _waiting_group_here(self, view: ObservationView) -> bool:
+    def _waiting_group_here(self, view: ObservationView, rp: int) -> bool:
         """A waiting group is recognized by estf+1 distinct vouching members."""
         st = self.state
-        gid = self._g2_min
+        gid = self._group
         seen = 0
         for e in view.entries:
             p = e.presented

@@ -349,7 +349,6 @@ class Verdict:
     config: ScenarioConfig
     x_n: int
     gathered: bool
-    same_node: bool
     same_round: bool | None
     capped: bool
     first_wake: int | None
@@ -363,7 +362,7 @@ class Verdict:
 
     @property
     def ok(self) -> bool:
-        if not (self.gathered and self.same_node and self.bound_satisfied):
+        if not (self.gathered and self.bound_satisfied):
             return False
         if self.config.variant == "SIM" and self.same_round is not True:
             return False
@@ -390,8 +389,7 @@ def check(trace: Trace, config: ScenarioConfig) -> Verdict:
     last_term = trace.last_good_termination()
     all_term = last_term is not None
     final_nodes = {trace.termination[aid][1] for aid in term}
-    same_node = all_term and len(final_nodes) == 1
-    gathered = all_term and same_node
+    gathered = all_term and len(final_nodes) == 1
     same_round: bool | None = None
     if config.variant == "SIM":
         same_round = all_term and len(set(term.values())) == 1
@@ -477,7 +475,7 @@ def check(trace: Trace, config: ScenarioConfig) -> Verdict:
 
     return Verdict(
         config=config, x_n=X, gathered=gathered,
-        same_node=same_node, same_round=same_round, capped=trace.capped,
+        same_round=same_round, capped=trace.capped,
         first_wake=first_wake, last_termination=last_term,
         measured_rounds=measured, bound=bound, bound_satisfied=bound_satisfied,
         lemma_checks=checks, notes=tuple(notes), metrics=metrics,
@@ -686,7 +684,7 @@ def _cmd_run(args) -> int:
         config.round_cap = args.cap
     verdict, trace = run_scenario(config)
     print(f"{config.scenario_id}: {'PASS' if verdict.ok else 'FAIL'}")
-    print(f"  gathered={verdict.gathered} same_node={verdict.same_node}"
+    print(f"  gathered={verdict.gathered}"
           + (f" same_round={verdict.same_round}" if config.variant == "SIM" else ""))
     print(f"  rounds={verdict.measured_rounds} bound={verdict.bound} x_n={verdict.x_n}")
     for name, okc in sorted(verdict.lemma_checks.items()):

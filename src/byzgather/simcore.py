@@ -68,20 +68,6 @@ class PresentedState(NamedTuple):
     terminated: bool
 
 
-def schedule_slot(count: int, x: int, p: int) -> tuple[int, int] | None:
-    """Where own-clock round ``count`` (1-based) falls in a good agent's schedule.
-
-    None during the initial walk (counts ``1..x``); afterwards ``(slot,
-    rp)``, where ``slot`` 0 is a main phase and 1, 2 the two rendezvous
-    phases that follow it, and ``rp`` is the 1-based round within the
-    ``p``-round phase.
-    """
-    if count <= x:
-        return None
-    q, rp = divmod(count - x - 1, p)
-    return q % 3, rp + 1
-
-
 def initial_presented(agent_id: int) -> PresentedState:
     return PresentedState(STA_CI, False, False, None, None, None, frozenset((agent_id,)), False, False)
 
@@ -98,7 +84,7 @@ class ObservationView:
     terminated agents included, dormant agents not yet visible), sorted
     by true id.  ``ids`` is the set of true ids.  ``version`` changes
     whenever the node's composition or any occupant's presented state
-    changes; steppers may use it to skip idempotent re-reads.  The entry
+    changes; the engine keys its per-node view cache on it.  The entry
     port is per-agent and passed to steppers separately.
     """
 
@@ -285,7 +271,7 @@ class Engine:
         self.occupants: list[list[int]] = [[] for _ in range(graph.node_count)]
         self._lazy_at: list[list[int]] = [[] for _ in range(graph.node_count)]  # active lazy agents
         # Versions are drawn from one clock so a version value never repeats
-        # across nodes; steppers rely on that to skip unchanged views.
+        # across nodes: an agent's versions compare even after it moves.
         self._vclock = 0
         self.node_version = [0] * graph.node_count
         self._view_cache: list[ObservationView | None] = [None] * graph.node_count

@@ -54,9 +54,6 @@ class SimGatheringAgent(GatheringAgent):
         self.r_i: int | None = None
         self.idm: int | None = None
         self.idm_max: int | None = None
-        self._sv = -1
-        self._sgef = 0
-        self._sflags = 0
         self._sthreshold: int | None = None
 
     def step(self, view: ObservationView, entry_port: int | None):
@@ -90,30 +87,28 @@ class SimGatheringAgent(GatheringAgent):
     def _sim_round(self, view: ObservationView):
         st = self.state
         st.count += 1
-        if view.version != self._sv:
-            self._sv = view.version
-            # Identical for every observer of this view; compute once, share.
-            memo = view.memo.get("simterm")
-            if memo is None:
-                vals = []
-                flags = 0
-                for e in view.entries:
-                    p = e.presented
-                    if p.estf is not None:
-                        vals.append(p.estf)
-                    if p.flag_t:
-                        flags += 1
-                gef = most_frequent_smallest(vals) if vals else 0
-                memo = (gef, flags, trusted_max_id(view, gef))
-                view.memo["simterm"] = memo
-            self._sgef, self._sflags, idm = memo
-            st.gef = self._sgef
-            self.idm = idm
-            self._sthreshold = None if idm is None else termination_threshold(self.X, idm)
-            if idm is not None and (self.idm_max is None or idm > self.idm_max):
-                self.idm_max = idm
-                self.events.append(("idm", idm))
-        if self._sflags >= self._sgef + 1:
+        # Identical for every observer of this view; compute once, share.
+        memo = view.memo.get("simterm")
+        if memo is None:
+            vals = []
+            flags = 0
+            for e in view.entries:
+                p = e.presented
+                if p.estf is not None:
+                    vals.append(p.estf)
+                if p.flag_t:
+                    flags += 1
+            gef = most_frequent_smallest(vals) if vals else 0
+            memo = (gef, flags, trusted_max_id(view, gef))
+            view.memo["simterm"] = memo
+        gef, flags, idm = memo
+        st.gef = gef
+        self.idm = idm
+        self._sthreshold = None if idm is None else termination_threshold(self.X, idm)
+        if idm is not None and (self.idm_max is None or idm > self.idm_max):
+            self.idm_max = idm
+            self.events.append(("idm", idm))
+        if flags >= gef + 1:
             return TERMINATE
         if (not self.flag_t and self._sthreshold is not None
                 and st.count >= self.r_i + self.X

@@ -16,8 +16,9 @@ from byzgather.gathering import (
     extended_label_block,
     most_frequent_smallest,
     reliable_gids,
+    schedule_slot,
 )
-from byzgather.simcore import TERMINATE, schedule_slot
+from byzgather.simcore import TERMINATE
 
 
 # -- label and formula units --------------------------------------------------
@@ -291,6 +292,18 @@ def test_consensus_splits_group_by_smallest_ids():
     assert members == (3, 51, 52, 53, 54, 55, 56, 57)
 
 
+def test_searcher_that_joins_a_group_stops_watching_its_target():
+    agent = make_mgst_agent(8, {3, 5, 8, 30}, estf=1)
+    X, P = agent.X, agent.P
+    for rp in range(1, P + 1):
+        entries = [entry(8)]
+        if rp == X + 1:  # the target and its group, gone the next round
+            entries += consensus_entries([1] * 8, tar=3, target_id=3)
+        agent.step(view(entries, degree=2), 1)
+    assert agent.state.gid == 3
+    assert agent.state.bl == set()
+
+
 def test_gathering_stage_waits_before_collection_finishes():
     agent = fresh_agent(agent_id=5, offsets=(0,) * 4)
     advance_to_phases(agent)
@@ -388,8 +401,8 @@ def snapshot(agent):
     """Presented state plus every field a later step reads."""
     st = agent.state
     return (agent.build_presented(), st.sta, st.x, st.estf, frozenset(st.il), frozenset(st.bl),
-            st.tar, st.gef, st.gid, frozenset(st.gl), agent._rec_ver, agent._gl_ver,
-            agent._cons_ver, agent._found_rp, agent._gave_up, agent._g2_found)
+            st.tar, st.gef, st.gid, frozenset(st.gl), agent._look, agent._watch, agent._end,
+            agent._group)
 
 
 def assert_idle_until_due(agent, v, fresh_views=False):
@@ -459,6 +472,47 @@ def stage_gst(sta, phase, gl=frozenset()):
     return build
 
 
+def stage_mgst_found():
+    # The target shows up at the first walk round: stop and watch it.
+    agent = make_mgst_agent(8, {3, 8, 30, 40}, estf=0)
+    for _ in range(agent.X):
+        agent.step(view([entry(8)], degree=2), 1)
+    v = view([entry(8), entry(3, sta="S_MG_TA", end_ci=True, in_mgst=True, estf=0, tar=3)],
+             degree=2)
+    assert agent.step(v, 1) is None and agent.state.sta == "S_MG_SA"
+    return agent, v
+
+
+def stage_mgst_gave_up():
+    # The walk ends at round 2X+1 without meeting the target.
+    agent = make_mgst_agent(8, {3, 8, 30, 40}, estf=0)
+    v = view([entry(8)], degree=2)
+    for _ in range(2 * agent.X + 1):
+        agent.step(v, 1)
+    assert agent.state.bl == {3}
+    return agent, v
+
+
+def stage_gst2_found():
+    # The hunted group waits at the first walk round: stop until the phase ends.
+    agent, _ = stage_gst("S_MG_SA", 2, REL)()
+    for _ in range(agent.X - 1):
+        agent.step(view([entry(9)], degree=2), 1)
+    v = view([entry(9), entry(51, sta="S_G_WG", gid=3), entry(52, sta="S_G_WG", gid=3)],
+             degree=2)
+    assert agent.step(v, 1) is None
+    return agent, v
+
+
+def stage_gst_before_cist_ends():
+    agent = fresh_agent(agent_id=5, offsets=(0,) * 4)
+    advance_to_phases(agent)
+    agent.state.count += agent.P  # the first rendezvous phase, id collection unfinished
+    v = view([entry(5), entry(9)], degree=2)
+    agent.step(v, None)
+    return agent, v
+
+
 REL = {(3, 51), (3, 52)}
 
 # stage -> (builder, phase round the agent is due at next)
@@ -468,11 +522,15 @@ HOOK_STAGES = {
     "cist-bit1": (stage_cist(1), "X+1"),
     "mgst-target": (stage_mgst(5), "P"),
     "mgst-searcher": (stage_mgst(8), "X+1"),
+    "mgst-found": (stage_mgst_found, "P"),
+    "mgst-gave-up": (stage_mgst_gave_up, "P"),
     "gst1-waiting": (stage_gst("S_G_WG", 1), "P"),
     "gst1-exploring": (stage_gst("S_G_EG", 1), "X+1"),
     "gst2-mode0": (stage_gst("S_G_EG", 2), "P"),
     "gst2-mode1": (stage_gst("S_G_WG", 2, REL), "P"),
     "gst2-mode2": (stage_gst("S_MG_SA", 2, REL), "X+1"),
+    "gst2-found": (stage_gst2_found, "P"),
+    "gst-before-cist-ends": (stage_gst_before_cist_ends, "P"),
 }
 
 
@@ -489,11 +547,11 @@ def test_next_due_skips_only_idle_counts(stage):
     assert pos is not None and pos[1] == (P if due_at == "P" else X + 1)
 
 
-@pytest.mark.parametrize("stage", sorted(set(HOOK_STAGES) - {"gst1-waiting"}))
+@pytest.mark.parametrize("stage", sorted(set(HOOK_STAGES) - {"gst1-waiting", "gst-before-cist-ends"}))
 def test_next_due_is_a_count_that_acts(stage):
     # At the due count the same view yields a move, a termination, a
     # presented-state change or the phase counter's bump (a waiting
-    # rendezvous phase ends with none of these, so it is left out).
+    # rendezvous phase ends with none of these, so both are left out).
     agent, v = HOOK_STAGES[stage][0]()
     _, twin = assert_idle_until_due(agent, v)
     x = twin.state.x
@@ -501,7 +559,7 @@ def test_next_due_is_a_count_that_acts(stage):
     assert action is not None or twin.presented_dirty or twin.state.x != x
 
 
-WATCHING = {"walk", "cist-bit0", "mgst-target", "gst1-waiting"}
+WATCHING = {"walk", "cist-bit0", "mgst-target", "mgst-found", "gst1-waiting"}
 
 
 @pytest.mark.parametrize("stage", sorted(HOOK_STAGES))

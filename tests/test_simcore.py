@@ -4,7 +4,8 @@ import pytest
 from conftest import ScriptedAgent, presented
 
 from byzgather.portgraph import GraphFamily, build, generate
-from byzgather.simcore import TERMINATE, AgentSpec, Engine, run, schedule_slot
+from byzgather.gathering import schedule_slot
+from byzgather.simcore import TERMINATE, AgentSpec, Engine, run
 
 
 def two_node():
@@ -319,3 +320,41 @@ def test_trace_exports_match_pinned_digests(case, digest):
     assert log == trace.position_log
     assert term == trace.termination
     assert hashlib.sha256(_dense_export(text).encode()).hexdigest() == digest
+
+
+class _EagerEngine(Engine):
+    """The engine with lazy stepping off: every agent is stepped every round."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._lazy = [False] * len(self._lazy)
+
+
+def _hook_cells():
+    from byzgather.harness import acceptance_matrix
+
+    return [cfg for variant in ("NS", "SIM") for cfg in acceptance_matrix(variant)
+            if cfg.family == "random-tree" and cfg.f == 1 and cfg.team_rule == "hypothesis"
+            and cfg.wake_policy == "adversarial_stagger" and cfg.seed == 0]
+
+
+HOOK_CELLS = _hook_cells()
+
+
+def test_hook_cells_cover_both_variants_and_every_strategy():
+    from byzgather.adversary import STRATEGY_NAMES
+
+    assert len(HOOK_CELLS) == 16
+    assert {(c.variant, c.strategy) for c in HOOK_CELLS} == {
+        (v, s) for v in ("NS", "SIM") for s in STRATEGY_NAMES}
+
+
+@pytest.mark.parametrize("cfg", HOOK_CELLS, ids=[c.scenario_id for c in HOOK_CELLS])
+def test_lazy_stepping_matches_stepping_every_round(cfg, monkeypatch):
+    # next_due() and watches_view() may only skip steps that change nothing.
+    from byzgather import harness
+
+    _, lazy = harness.run_scenario(cfg)
+    monkeypatch.setattr(harness, "Engine", _EagerEngine)
+    _, eager = harness.run_scenario(cfg)
+    assert harness.export_trace_text(lazy, cfg) == harness.export_trace_text(eager, cfg)
