@@ -1,8 +1,10 @@
 """Everything the model leaves to the adversary.
 
-Byzantine agents receive the full world state every round (true states,
-positions, the lot) and answer with an arbitrary presented state plus a
-move.  Their true id is attached by the engine and cannot be forged.
+A Byzantine strategy receives the full world state (true states,
+positions, the lot) and answers with an arbitrary presented state plus a
+move; ``mimic_good`` instead runs the honest stepper, which the engine
+drives as it drives a good agent.  A faulty agent's true id is attached
+by the engine and cannot be forged.
 Wake-up scheduling is also adversary-controlled, subject to one rule:
 at least one good agent wakes in round 1.
 """
@@ -172,22 +174,18 @@ class FakeGroup(ByzantineStrategy):
 
 
 class EstfLiar(ByzantineStrategy):
-    """Swings its presented fault estimate between extremes to skew votes."""
+    """Swings its presented fault estimate between extremes every round to skew votes."""
 
     name = "estf_liar"
 
     def __init__(self, agent_id, seed, f):
         super().__init__(agent_id, seed, f)
         self._tar: int | None = None
-        self._last: int | None = None
 
     def step(self, world, agent_id):
         if self._tar is None:
             self._tar = min(world.good_ids())
         lie = 0 if world.round % 2 == 0 else 99
-        if lie == self._last:
-            return None, None
-        self._last = lie
         presented = PresentedState(STA_MG_SA, True, True, lie, self._tar, None,
                                    frozenset((self.agent_id,)), False, False)
         return presented, None
@@ -206,47 +204,23 @@ class IdInflator(ByzantineStrategy):
         return presented, None
 
 
-class MimicGood(ByzantineStrategy):
-    """Runs the honest protocol; the hardest case for detection-based checks."""
-
-    name = "mimic_good"
-
-    def __init__(self, agent_id, seed, f, variant="NS", seq=None):
-        super().__init__(agent_id, seed, f)
-        cls = SimGatheringAgent if variant == "SIM" else GatheringAgent
-        self.inner = cls(agent_id, seq)
-        self._done = False
-
-    def step(self, world, agent_id):
-        if self._done:
-            return None, None
-        view, entry = world.view_of(agent_id)
-        action = self.inner.step(view, entry)
-        self.inner.events.clear()
-        presented = None
-        if self.inner.presented_dirty:
-            self.inner.presented_dirty = False
-            presented = self.inner.build_presented()
-        if action is not None and not isinstance(action, int):
-            # The engine never lets a Byzantine agent truly terminate; it
-            # forges the terminated marker and sits still instead.
-            self._done = True
-            self.inner.terminated = True
-            presented = self.inner.build_presented()
-            action = None
-        return presented, action
-
-
 _STRATEGIES = {
     cls.name: cls
-    for cls in (Crash, RandomWalk, FakeTarget, Lure, FakeGroup, EstfLiar, IdInflator, MimicGood)
+    for cls in (Crash, RandomWalk, FakeTarget, Lure, FakeGroup, EstfLiar, IdInflator)
 }
 
 
 def make_strategy(name: str, agent_id: int, seed: int, f: int, *,
-                  variant: str = "NS", seq=None) -> ByzantineStrategy:
+                  variant: str = "NS", seq=None):
+    """The stepper of faulty agent ``agent_id`` under strategy ``name``.
+
+    ``mimic_good`` is the honest stepper itself, ``SimGatheringAgent``
+    for SIM and ``GatheringAgent`` otherwise, on the sequence ``seq``:
+    what makes it faulty is its seat, not its code.  Every other name is
+    a world-fed ``ByzantineStrategy``.
+    """
+    if name == "mimic_good":
+        return (SimGatheringAgent if variant == "SIM" else GatheringAgent)(agent_id, seq)
     if name not in _STRATEGIES:
         raise ValueError(f"unknown Byzantine strategy {name!r}")
-    if name == "mimic_good":
-        return MimicGood(agent_id, seed, f, variant=variant, seq=seq)
     return _STRATEGIES[name](agent_id, seed, f)

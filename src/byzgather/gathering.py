@@ -195,17 +195,22 @@ class GatheringAgent:
         returned one, on the view seen at the last step, would return a
         stay, log no event, leave ``presented_dirty`` unset and change no
         state a later step reads (the round counter aside).  Due are every
-        initial-walk count, each phase's first and last round, and the
-        walk window ``X+1..2X+1`` while the plan's ``_look`` is set.
+        initial-walk count, each phase's first round (it plans the phase),
+        the walk window ``X+1..2X+1`` while the plan's ``_look`` is set, and
+        the phase's last round when the plan's ``_end`` is set or the next
+        phase is a main phase after id collection (``in_mgst`` rises).
         """
         c = self.state.count + 1
         pos = schedule_slot(c, self.X, self.P)
         if pos is None or pos[1] == 1:
             return c
-        rp = pos[1]
+        slot, rp = pos
         if self._look is not None and rp <= 2 * self.X + 1:
             return c + max(0, self.X + 1 - rp)
-        return c + self.P - rp
+        last = c + self.P - rp
+        if self._end is not None or (slot == 2 and self.state.end_ci):
+            return last
+        return last + 1
 
     def watches_view(self) -> bool:
         """False if every step before ``next_due()`` ignores the view.

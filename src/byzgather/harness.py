@@ -22,10 +22,9 @@ from dataclasses import dataclass, field
 
 from .adversary import STRATEGY_NAMES, WAKE_POLICIES, make_strategy, wake_schedule
 from .exploration import ExplorationSequence, build_sequence, save_sequence
-from .gathering import GatheringAgent, cist_length
+from .gathering import cist_length
 from .portgraph import FAMILY_KINDS, GraphFamily, PortGraph, generate
-from .simcore import AgentSpec, Engine, Trace
-from .simgather import SimGatheringAgent
+from .simcore import STA_MG_TA, AgentSpec, Engine, Trace
 
 
 class ParseError(ValueError):
@@ -328,12 +327,10 @@ def run_scenario(config: ScenarioConfig) -> tuple["Verdict", Trace]:
     specs = []
     for aid in sorted(config.ids):
         start = rng.randrange(graph.node_count)
-        if aid in byz:
-            stepper = make_strategy(config.strategy, aid, config.seed, config.f,
-                                    variant=config.variant, seq=seq)
-        else:
-            cls = SimGatheringAgent if config.variant == "SIM" else GatheringAgent
-            stepper = cls(aid, seq)
+        # A good agent runs the honest stepper, which is what mimic_good names.
+        strategy = config.strategy if aid in byz else "mimic_good"
+        stepper = make_strategy(strategy, aid, config.seed, config.f,
+                                variant=config.variant, seq=seq)
         specs.append(AgentSpec(aid, aid in byz, stepper, start, schedule[aid]))
     cap = config.round_cap or 4 * theorem2_bound(X, config.f, config.lambda_all)
     engine = Engine(graph, specs, cap, scenario_id=config.scenario_id,
@@ -419,7 +416,7 @@ def check(trace: Trace, config: ScenarioConfig) -> Verdict:
 
     # Fault estimate: at least f, and consistent with the team size.
     checks["estf_at_least_f"] = all(
-        estf >= f and (4 * estf + 4) * (estf + 1) <= config.k
+        estf >= f and hypothesis_team_size(estf) <= config.k
         for _, _, estf in end_ci.values()
     )
 
@@ -428,8 +425,8 @@ def check(trace: Trace, config: ScenarioConfig) -> Verdict:
     efm = max(estfs) if estfs else f
 
     a_min = min(good)
-    target_roles = [aid for aid, sta in roles.items() if sta == "S_MG_TA"]
-    ok_min = roles.get(a_min, "S_MG_TA") == "S_MG_TA"
+    target_roles = [aid for aid, sta in roles.items() if sta == STA_MG_TA]
+    ok_min = roles.get(a_min, STA_MG_TA) == STA_MG_TA
     checks["smallest_good_is_target"] = ok_min and len(target_roles) <= efm + 1
 
     checks["blacklists_stay_good_free"] = all(tar not in good_set for _, _, tar in bl_adds)

@@ -6,7 +6,7 @@ reads an observation of its node as of the end of the previous round,
 all transitions run, and all moves apply simultaneously.  Two agents
 crossing one edge in opposite directions never observe each other.
 
-Stepping is lazy where a stepper allows it.  A good stepper with
+Stepping is lazy where a stepper allows it.  A stepper with
 ``next_due()`` and ``watches_view()`` methods is stepped only when its
 own clock reaches the count ``next_due()`` named, or when its node's
 observation changed since its last step and it watches its view; a
@@ -15,10 +15,14 @@ round.  Every other stepper is stepped every round.  When a round changes
 nothing and no every-round stepper is active, the engine jumps straight
 to the next due round or scheduled wake.
 
-The engine is protocol-agnostic: good agents are driven by stepper
-objects fed only observations, Byzantine agents by strategy objects fed
-the full world state.  Presented states are paired with engine-held true
-ids, so a faulty agent can forge every field except its identity.
+The engine is protocol-agnostic, and the stepper, not the seat, picks
+how it is called.  A protocol stepper (one with ``build_presented()``)
+is fed only its node's observation and entry port, in either seat; any
+other stepper is a Byzantine strategy fed the full world state.  The
+seat decides only what counts: a faulty agent's events never reach the
+trace, and its termination halts it without a termination record.
+Presented states are paired with engine-held true ids, so a faulty agent
+can forge every field except its identity.
 """
 
 from __future__ import annotations
@@ -258,10 +262,12 @@ class Engine:
         self.index_of = {aid: i for i, aid in enumerate(ids)}
         self.is_byz = [s.is_byzantine for s in specs]
         self.steppers = [s.stepper for s in specs]
-        # Lazy: a good stepper with the next_due() and watches_view() hooks.
+        # Protocol: a stepper fed its node's view, in either seat.
+        # Lazy: a stepper with the next_due() and watches_view() hooks.
         # Static: a Byzantine strategy that never acts after its first step.
-        self._lazy = [not s.is_byzantine and hasattr(s.stepper, "next_due")
-                      and hasattr(s.stepper, "watches_view") for s in specs]
+        self._protocol = [hasattr(s.stepper, "build_presented") for s in specs]
+        self._lazy = [hasattr(s.stepper, "next_due") and hasattr(s.stepper, "watches_view")
+                      for s in specs]
         self._static = [s.is_byzantine and getattr(s.stepper, "static", False) for s in specs]
         self.pos = [s.start_node for s in specs]
         self.schedule = [s.wake_round for s in specs]
@@ -395,6 +401,8 @@ class Engine:
         ids = self.ids
         steppers = self.steppers
         status = self.status
+        is_byz = self.is_byz
+        protocol = self._protocol
         lazy = self._lazy
         wake = self._wake
         watch = self._watch
@@ -428,12 +436,10 @@ class Engine:
             stepped_lazy = []
             for idx in self._to_step(r, changed):
                 stepper = steppers[idx]
-                if self.is_byz[idx]:
+                if not protocol[idx]:
                     new_presented, action = stepper.step(self.world, ids[idx])
                     if new_presented is not None:
                         pres_updates.append((idx, new_presented))
-                    if action is TERMINATE:
-                        action = None
                 else:
                     if lazy[idx]:
                         stepper.state.count = r - wake[idx]
@@ -445,9 +451,10 @@ class Engine:
                         watch[idx] = True if action is not None else None
                     ev = stepper.events
                     if ev:
-                        aid = ids[idx]
-                        for kind, payload in ev:
-                            trace.events.append((r, aid, kind, payload))
+                        if not is_byz[idx]:
+                            aid = ids[idx]
+                            for kind, payload in ev:
+                                trace.events.append((r, aid, kind, payload))
                         ev.clear()
                     if stepper.presented_dirty:
                         stepper.presented_dirty = False
@@ -466,9 +473,8 @@ class Engine:
                     self._lazy_at[pos[idx]].remove(idx)
                 else:
                     self._every.remove(idx)
-                aid = ids[idx]
-                trace.termination[aid] = (r, pos[idx])
-                if not self.is_byz[idx]:
+                if not is_byz[idx]:
+                    trace.termination[ids[idx]] = (r, pos[idx])
                     self._good_left -= 1
                 stepper = steppers[idx]
                 stepper.terminated = True

@@ -515,7 +515,7 @@ def stage_gst_before_cist_ends():
 
 REL = {(3, 51), (3, 52)}
 
-# stage -> (builder, phase round the agent is due at next)
+# stage -> (builder, phase round the agent is due at next; "1": the next phase's first)
 HOOK_STAGES = {
     "walk": (stage_walk, None),
     "cist-bit0": (stage_cist(0), "P"),
@@ -524,13 +524,13 @@ HOOK_STAGES = {
     "mgst-searcher": (stage_mgst(8), "X+1"),
     "mgst-found": (stage_mgst_found, "P"),
     "mgst-gave-up": (stage_mgst_gave_up, "P"),
-    "gst1-waiting": (stage_gst("S_G_WG", 1), "P"),
+    "gst1-waiting": (stage_gst("S_G_WG", 1), "1"),
     "gst1-exploring": (stage_gst("S_G_EG", 1), "X+1"),
     "gst2-mode0": (stage_gst("S_G_EG", 2), "P"),
     "gst2-mode1": (stage_gst("S_G_WG", 2, REL), "P"),
     "gst2-mode2": (stage_gst("S_MG_SA", 2, REL), "X+1"),
     "gst2-found": (stage_gst2_found, "P"),
-    "gst-before-cist-ends": (stage_gst_before_cist_ends, "P"),
+    "gst-before-cist-ends": (stage_gst_before_cist_ends, "1"),
 }
 
 
@@ -544,19 +544,22 @@ def test_next_due_skips_only_idle_counts(stage):
         assert due == agent.state.count + 1
         return
     pos = schedule_slot(due, X, P)
-    assert pos is not None and pos[1] == (P if due_at == "P" else X + 1)
+    assert pos is not None and pos[1] == {"1": 1, "X+1": X + 1, "P": P}[due_at]
 
 
-@pytest.mark.parametrize("stage", sorted(set(HOOK_STAGES) - {"gst1-waiting", "gst-before-cist-ends"}))
+@pytest.mark.parametrize("stage", sorted(set(HOOK_STAGES) - {"gst-before-cist-ends"}))
 def test_next_due_is_a_count_that_acts(stage):
     # At the due count the same view yields a move, a termination, a
-    # presented-state change or the phase counter's bump (a waiting
-    # rendezvous phase ends with none of these, so both are left out).
+    # presented-state change, the phase counter's bump or a new plan.
+    # Before id collection ends both rendezvous phases plan to wait, so
+    # the second's first round re-plans the same empty plan: left out.
     agent, v = HOOK_STAGES[stage][0]()
     _, twin = assert_idle_until_due(agent, v)
     x = twin.state.x
+    plan = (twin._look, twin._watch, twin._end)
     action = twin.step(v, 1)  # the entry port matters only to a walk
-    assert action is not None or twin.presented_dirty or twin.state.x != x
+    assert (action is not None or twin.presented_dirty or twin.state.x != x
+            or (twin._look, twin._watch, twin._end) != plan)
 
 
 WATCHING = {"walk", "cist-bit0", "mgst-target", "mgst-found", "gst1-waiting"}

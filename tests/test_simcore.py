@@ -128,6 +128,61 @@ def test_byzantine_presented_keeps_true_id():
     assert ids_seen == (1, 9)  # the forged fields never touch the id
 
 
+class _HaltingProtocolStepper:
+    """A protocol stepper with the hooks: due every third count, logs each
+    step, halts at count 10."""
+
+    def __init__(self):
+        self.state = type("S", (), {"count": 0})()
+        self.events = []
+        self.presented_dirty = False
+        self.terminated = False
+        self.stepped = []
+
+    def step(self, view_, entry_port):
+        self.state.count += 1
+        self.stepped.append(self.state.count)
+        self.events.append(("tick", self.state.count))
+        return TERMINATE if self.state.count == 10 else None
+
+    def next_due(self):
+        return self.state.count + 3
+
+    def watches_view(self):
+        return False
+
+    def build_presented(self):
+        return presented(terminated=self.terminated)
+
+
+@pytest.mark.parametrize("faulty", [False, True], ids=["good-seat", "faulty-seat"])
+def test_a_protocol_stepper_is_driven_alike_in_either_seat(faulty):
+    # The stepper picks how it is called; the seat only decides whether its
+    # events and its termination count.
+    class Watcher(ScriptedAgent):
+        def step(self, view_, entry_port):
+            self.shown.append({e.id: e.presented for e in view_.entries})
+            return super().step(view_, entry_port)
+
+    g = two_node()
+    halting, watcher = _HaltingProtocolStepper(), Watcher()
+    watcher.shown = []
+    trace = run(g, [AgentSpec(1, False, watcher, 0, 1), AgentSpec(9, faulty, halting, 0, 2)],
+                round_cap=15)
+    # Awake from round 2, halted in round 11: stepped in 4 of those 10
+    # rounds, never after, with the full own-clock count.
+    assert halting.stepped == [1, 4, 7, 10]
+    assert halting.state.count == 10
+    assert [s[9].terminated for s in watcher.shown[1:]] == [False] * 10 + [True] * 4
+    assert trace.capped and trace.rounds == 15  # the good watcher never halts
+    if faulty:
+        assert trace.events == []
+        assert trace.termination == {}
+    else:
+        assert trace.events == [(r + 1, 9, "tick", r) for r in (1, 4, 7, 10)]
+        assert trace.termination == {9: (11, 0)}
+
+
 def test_run_is_deterministic_by_export():
     from byzgather.harness import ScenarioConfig, default_agent_ids, export_trace_text, run_scenario
 
