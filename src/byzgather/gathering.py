@@ -97,6 +97,25 @@ def most_frequent_smallest(values: Iterable[int]) -> int:
     return min(v for v, c in counts.items() if c == best)
 
 
+def _mgst_tally(view: ObservationView) -> tuple[int, int | None, dict]:
+    """Per view, memoised: the number of agents showing ``in_mgst``, their
+    estimate vote (None: no estimate shown) and their count per ``tar``."""
+    tally = view.memo.get("mgst")
+    if tally is None:
+        vals = []
+        tar_counts: dict = {}
+        n_mg = 0
+        for e in view.entries:
+            p = e.presented
+            if p.in_mgst:
+                n_mg += 1
+                if p.estf is not None:
+                    vals.append(p.estf)
+                tar_counts[p.tar] = tar_counts.get(p.tar, 0) + 1
+        tally = view.memo["mgst"] = (n_mg, most_frequent_smallest(vals) if vals else None, tar_counts)
+    return tally
+
+
 class AgentState:
     """Protocol variables of one agent (plus the round counter)."""
 
@@ -212,16 +231,27 @@ class GatheringAgent:
             return last
         return last + 1
 
-    def watches_view(self) -> bool:
-        """False if every step before ``next_due()`` ignores the view.
+    def watches_view(self):
+        """Which changed views the steps before ``next_due()`` may act on.
 
-        Such steps, on any view, return a stay, log no event, leave
-        ``presented_dirty`` unset and change no state a later step reads,
-        so a changed view need not be stepped on until the due count.
-        Outside the initial walk, only the plan's ``_watch`` reads views
-        between due counts.
+        False if every such step ignores the view: on any view it returns
+        a stay, logs no event, leaves ``presented_dirty`` unset and
+        changes no state a later step reads, so a changed view need not
+        be stepped on until the due count.  Outside the initial walk,
+        only the plan's ``_watch`` reads views between due counts.  A
+        waiting id collector answers the predicate ``_meets_new_ids``;
+        every other watcher answers True.
         """
-        return self.state.count < self.X or self._watch is not None
+        if self.state.count < self.X:
+            return True
+        if self._watch is None:
+            return False
+        return self._meets_new_ids if self._watch == self._record_ids else True
+
+    def _meets_new_ids(self, view: ObservationView) -> bool:
+        """False if ``_record_ids`` would find nothing new in ``view``: it
+        then only compares, so the step is idle."""
+        return not view.ids <= self.state.il
 
     def _walk_move(self, view: ObservationView, entry_port: int | None, i: int):
         d = view.degree
@@ -351,18 +381,15 @@ class GatheringAgent:
         st = self.state
         if st.gid is not None or st.estf is None:
             return
-        mg = [e for e in view.entries if e.presented.in_mgst]
-        if len(mg) < 4 * st.estf:
+        n_mg, gef, tar_counts = _mgst_tally(view)
+        if n_mg < 4 * st.estf or gef is None:
             return
-        vals = [e.presented.estf for e in mg if e.presented.estf is not None]
-        if not vals:
-            return
-        st.gef = most_frequent_smallest(vals)
+        st.gef = gef
         tar = st.tar
-        gc = [e for e in mg if e.presented.tar == tar]
-        if len(gc) < 4 * st.gef + 4:
+        if tar_counts.get(tar, 0) < 4 * gef + 4:
             return
-        if not any(e.id == tar and e.presented.tar == tar for e in gc):
+        gc = [e for e in view.entries if e.presented.in_mgst and e.presented.tar == tar]
+        if not any(e.id == tar for e in gc):
             return
         st.gid = tar
         member_ids = sorted(e.id for e in gc)
@@ -375,12 +402,12 @@ class GatheringAgent:
 
     def _record_pairs(self, view: ObservationView, rp: int) -> bool:
         """Collect (group id, agent id) evidence; as a ``_look`` it walks the whole window."""
+        pairs = view.memo.get("pairs")
+        if pairs is None:
+            pairs = view.memo["pairs"] = [(e.presented.gid, e.id) for e in view.entries
+                                          if e.presented.gid is not None]
         own = self.state.id
-        gl = self.state.gl
-        for e in view.entries:
-            g = e.presented.gid
-            if g is not None and e.id != own:
-                gl.add((g, e.id))
+        self.state.gl.update(pair for pair in pairs if pair[1] != own)
         return False
 
     def _waiting_group_here(self, view: ObservationView, rp: int) -> bool:

@@ -9,11 +9,18 @@ crossing one edge in opposite directions never observe each other.
 Stepping is lazy where a stepper allows it.  A stepper with
 ``next_due()`` and ``watches_view()`` methods is stepped only when its
 own clock reaches the count ``next_due()`` named, or when its node's
-observation changed since its last step and it watches its view; a
+observation changed since its last step and it watches that view:
+``watches_view()`` answers False (it ignores every view until it is
+due), True (any change wakes it) or a predicate ``wants(view)``, asked
+once per change of its node, that wakes it only where it holds.  A
 Byzantine strategy with ``static = True`` is stepped once, in its wake
 round.  Every other stepper is stepped every round.  When a round changes
 nothing and no every-round stepper is active, the engine jumps straight
 to the next due round or scheduled wake.
+
+A view costs what its readers use: its ``ids`` are built with it, its
+``entries`` on first read, and ``view.memo`` holds values derived from
+it that every co-located reader would otherwise recompute.
 
 The engine is protocol-agnostic, and the stepper, not the seat, picks
 how it is called.  A protocol stepper (one with ``build_presented()``)
@@ -90,16 +97,36 @@ class ObservationView:
     whenever the node's composition or any occupant's presented state
     changes; the engine keys its per-node view cache on it.  The entry
     port is per-agent and passed to steppers separately.
+
+    The engine passes ``entries`` as None and a ``snapshot`` instead: the
+    occupants' true ids and their presented states, in id order, taken
+    when the view is built.  ``entries`` is made from it on first read,
+    so a view that is only read for ``ids`` never builds it, and a view
+    kept across a presented update still shows its own version.
+
+    ``memo`` holds values derived from the view, keyed by name, so that
+    co-located readers compute each once: ``memo.get(key)``, and on a
+    miss compute and store it.
     """
 
-    __slots__ = ("degree", "entries", "ids", "version", "memo")
+    __slots__ = ("degree", "_entries", "_snapshot", "ids", "version", "memo")
 
-    def __init__(self, degree: int, entries: tuple[ViewEntry, ...], ids: frozenset[int], version: int):
+    def __init__(self, degree: int, entries: tuple[ViewEntry, ...] | None, ids: frozenset[int],
+                 version: int, snapshot: tuple[list[int], list[PresentedState]] | None = None):
         self.degree = degree
-        self.entries = entries
+        self._entries = entries
+        self._snapshot = snapshot
         self.ids = ids
         self.version = version
-        self.memo: dict = {}  # scratch for derived values shared by co-located observers
+        self.memo: dict = {}
+
+    @property
+    def entries(self) -> tuple[ViewEntry, ...]:
+        entries = self._entries
+        if entries is None:
+            entries = self._entries = tuple(map(ViewEntry, *self._snapshot))
+            self._snapshot = None
+        return entries
 
 
 class AgentSpec(NamedTuple):
@@ -293,8 +320,8 @@ class Engine:
         self._due: list[tuple[int, int]] = []
         self._due_round: list[int | None] = [None] * len(specs)
         # Per lazy agent, watches_view() since its last step (None: not asked).
-        self._watch: list[bool | None] = [None] * len(specs)
-        self._dirty: set[int] = set()  # nodes bumped since the last _changed()
+        self._watch: list = [None] * len(specs)
+        self._dirty: set[int] = set()  # nodes changed since the last _changed()
         self._dormant = list(range(len(specs)))
         self._good_left = len(good)
 
@@ -304,16 +331,20 @@ class Engine:
         if cached is not None and cached.version == ver:
             return cached
         occ = self.occupants[node]
-        entries = tuple(ViewEntry(self.ids[j], self.presented[j]) for j in occ)
-        view = ObservationView(self.graph.degree(node), entries,
-                               frozenset(self.ids[j] for j in occ), ver)
+        all_ids, presented = self.ids, self.presented
+        ids = [all_ids[j] for j in occ]
+        view = ObservationView(self.graph.degree(node), None, frozenset(ids), ver,
+                               (ids, [presented[j] for j in occ]))
         self._view_cache[node] = view
         return view
 
-    def _bump(self, node: int) -> None:
-        self._vclock += 1
-        self.node_version[node] = self._vclock
-        self._dirty.add(node)
+    def _bump_dirty(self) -> None:
+        """A new version for every node in the dirty set."""
+        vclock, node_version = self._vclock, self.node_version
+        for node in self._dirty:
+            vclock += 1
+            node_version[node] = vclock
+        self._vclock = vclock
 
     def _set_due(self, idx: int, r: int | None) -> None:
         if r is not None and r != self._due_round[idx]:
@@ -328,7 +359,7 @@ class Engine:
         self.trace.position_log[aid] = [(r, self.pos[idx])]
         self.presented[idx] = initial_presented(aid)
         insort(self.occupants[self.pos[idx]], idx)
-        self._bump(self.pos[idx])
+        self._dirty.add(self.pos[idx])
         if self._lazy[idx]:
             self._lazy_at[self.pos[idx]].append(idx)
         if self._lazy[idx] or self._static[idx]:
@@ -352,16 +383,26 @@ class Engine:
         return nxt
 
     def _changed(self) -> set[int]:
-        """Active lazy agents on nodes bumped since the last call that watch their view."""
+        """Active lazy agents on nodes bumped since the last call that want their new view.
+
+        A watcher with a predicate is asked on the node's current view,
+        built at most once per node.
+        """
         changed: set[int] = set()
         watch = self._watch
         for node in self._dirty:
+            view = None
             for j in self._lazy_at[node]:
                 w = watch[j]
                 if w is None:
                     w = watch[j] = self.steppers[j].watches_view()
-                if w:
+                if w is True:
                     changed.add(j)
+                elif w:
+                    if view is None:
+                        view = self.node_view(node)
+                    if w(view):
+                        changed.add(j)
         self._dirty.clear()
         return changed
 
@@ -408,6 +449,12 @@ class Engine:
         watch = self._watch
         pos = self.pos
         entry = self.entry
+        presented = self.presented
+        occupants = self.occupants
+        lazy_at = self._lazy_at
+        node_version = self.node_version
+        view_cache = self._view_cache
+        dirty = self._dirty
         pending_visit: list[int] = []
         stepped_lazy: list[int] = []
         neighbor = self.graph.neighbor
@@ -429,6 +476,7 @@ class Engine:
                 if status[idx] == DORMANT:
                     self._activate(idx, r)
             pending_visit = []
+            self._bump_dirty()
 
             terminations: list[int] = []
             moves: list[tuple[int, int]] = []
@@ -444,7 +492,11 @@ class Engine:
                     if lazy[idx]:
                         stepper.state.count = r - wake[idx]
                         stepped_lazy.append(idx)
-                    action = stepper.step(self.node_view(pos[idx]), entry[idx])
+                    node = pos[idx]
+                    view = view_cache[node]
+                    if view is None or view.version != node_version[node]:
+                        view = self.node_view(node)
+                    action = stepper.step(view, entry[idx])
                     if lazy[idx]:
                         # An extra step is always safe, and a mover's walk
                         # usually goes on: count it as watching unasked.
@@ -470,7 +522,7 @@ class Engine:
             for idx in terminations:
                 status[idx] = TERMINATED
                 if lazy[idx]:
-                    self._lazy_at[pos[idx]].remove(idx)
+                    lazy_at[pos[idx]].remove(idx)
                 else:
                     self._every.remove(idx)
                 if not is_byz[idx]:
@@ -483,32 +535,29 @@ class Engine:
             for idx, port in moves:
                 old = pos[idx]
                 u, q = neighbor(old, port)
-                self.occupants[old].remove(idx)
-                insort(self.occupants[u], idx)
+                occupants[old].remove(idx)
+                insort(occupants[u], idx)
                 if lazy[idx]:
-                    self._lazy_at[old].remove(idx)
-                    self._lazy_at[u].append(idx)
-                self._bump(old)
-                self._bump(u)
+                    lazy_at[old].remove(idx)
+                    lazy_at[u].append(idx)
+                dirty.add(old)
+                dirty.add(u)
                 pos[idx] = u
                 entry[idx] = q
                 trace.position_log[ids[idx]].append((r + 1, u))
 
             for idx, p in pres_updates:
-                self.presented[idx] = p
-                self._bump(pos[idx])
+                presented[idx] = p
+                dirty.add(pos[idx])
+            self._bump_dirty()
 
             if self._good_left == 0:
                 return self._finish(r)
 
             if self._dormant:
                 for idx in self._dormant:
-                    for j in self.occupants[pos[idx]]:
+                    for j in occupants[pos[idx]]:
                         if status[j] == ACTIVE:
                             pending_visit.append(idx)
                             break
 
-
-def run(graph: PortGraph, specs: list[AgentSpec], round_cap: int, **meta) -> Trace:
-    """Build an engine and run it; the round cap yields a capped trace, not an error."""
-    return Engine(graph, specs, round_cap, **meta).run()

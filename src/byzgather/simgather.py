@@ -40,12 +40,31 @@ def trusted_max_id(view: ObservationView, gef: int) -> int | None:
     return best
 
 
+def simterm(view: ObservationView) -> tuple[int, int, int | None]:
+    """Per view, memoised: the estimate vote ``gef`` (0 when no estimate is
+    shown), the number of raised flags, and the trusted maximum id."""
+    memo = view.memo.get("simterm")
+    if memo is None:
+        vals = []
+        flags = 0
+        for e in view.entries:
+            p = e.presented
+            if p.estf is not None:
+                vals.append(p.estf)
+            if p.flag_t:
+                flags += 1
+        gef = most_frequent_smallest(vals) if vals else 0
+        memo = view.memo["simterm"] = (gef, flags, trusted_max_id(view, gef))
+    return memo
+
+
 class SimGatheringAgent(GatheringAgent):
     """Stepper for the simultaneous-termination variant.
 
     State on top of the base agent: ``flag_t`` (monotone), ``idm`` (the
     per-round trusted maximum id), ``r_i`` (own round right after the
-    base protocol completed), and ``sim_active``.
+    base protocol completed), ``sim_active``, and the ``simterm`` triple
+    of its last wait round.
     """
 
     def __init__(self, agent_id: int, seq: ExplorationSequence):
@@ -55,6 +74,7 @@ class SimGatheringAgent(GatheringAgent):
         self.idm: int | None = None
         self.idm_max: int | None = None
         self._sthreshold: int | None = None
+        self._seen: tuple | None = None  # simterm(view) at the last wait round
 
     def step(self, view: ObservationView, entry_port: int | None):
         if self.sim_active:
@@ -81,27 +101,25 @@ class SimGatheringAgent(GatheringAgent):
             return None
         return max(c + 1, self.r_i + self.X, self._sthreshold)
 
-    def watches_view(self) -> bool:
-        return self.sim_active or super().watches_view()
+    def watches_view(self):
+        """Like the base hook; after its first wait round a waiter answers
+        the predicate ``_sees_new_triple``, before it True."""
+        if not self.sim_active:
+            return super().watches_view()
+        return True if self._seen is None else self._sees_new_triple
+
+    def _sees_new_triple(self, view: ObservationView) -> bool:
+        """False if ``view`` shows the ``simterm`` triple of the last wait
+        round.  A wait round then sets the same ``gef``, ``idm`` and
+        threshold, logs no new ``idm`` (it is no larger than ``idm_max``)
+        and does not terminate (it did not last time); the flag can only
+        rise at a due count."""
+        return simterm(view) != self._seen
 
     def _sim_round(self, view: ObservationView):
         st = self.state
         st.count += 1
-        # Identical for every observer of this view; compute once, share.
-        memo = view.memo.get("simterm")
-        if memo is None:
-            vals = []
-            flags = 0
-            for e in view.entries:
-                p = e.presented
-                if p.estf is not None:
-                    vals.append(p.estf)
-                if p.flag_t:
-                    flags += 1
-            gef = most_frequent_smallest(vals) if vals else 0
-            memo = (gef, flags, trusted_max_id(view, gef))
-            view.memo["simterm"] = memo
-        gef, flags, idm = memo
+        gef, flags, idm = self._seen = simterm(view)
         st.gef = gef
         self.idm = idm
         self._sthreshold = None if idm is None else termination_threshold(self.X, idm)

@@ -562,13 +562,34 @@ def test_next_due_is_a_count_that_acts(stage):
             or (twin._look, twin._watch, twin._end) != plan)
 
 
-WATCHING = {"walk", "cist-bit0", "mgst-target", "mgst-found", "gst1-waiting"}
+WATCHING = {"walk", "mgst-target", "mgst-found", "gst1-waiting"}
+PREDICATE = {"cist-bit0"}  # a waiting id collector wants only views with new ids
 
 
 @pytest.mark.parametrize("stage", sorted(HOOK_STAGES))
 def test_watches_view_only_where_a_step_reads_it(stage):
     # A stage that does not watch ignores every view until its due count.
     agent, v = HOOK_STAGES[stage][0]()
-    assert agent.watches_view() == (stage in WATCHING)
-    if stage not in WATCHING:
+    answer = agent.watches_view()
+    if stage in PREDICATE:
+        assert callable(answer) and not answer(v)
+    else:
+        assert answer is (stage in WATCHING)
+    if stage not in WATCHING | PREDICATE:
         assert_idle_until_due(agent, v, fresh_views=True)
+
+
+def test_waiting_id_collector_wants_only_views_with_an_unknown_id():
+    # It knows 5 and 9; a view of known ids only is stepped on idly.
+    agent, _ = HOOK_STAGES["cist-bit0"][0]()
+    wants = agent.watches_view()
+    gone = view([entry(5)], degree=2)
+    restyled = view([entry(5), entry(9, sta="S_MG_TA", end_ci=True, in_mgst=True, estf=1, tar=9)],
+                    degree=2)
+    for known in (gone, restyled):
+        assert not wants(known)
+        assert_idle_until_due(agent, known)
+    arrival = view([entry(5), entry(9), entry(12)], degree=2)
+    assert wants(arrival)
+    assert agent.step(arrival, None) is None
+    assert agent.presented_dirty and agent.state.il == {5, 9, 12}

@@ -5,7 +5,7 @@ from conftest import ScriptedAgent, presented
 
 from byzgather.portgraph import GraphFamily, build, generate
 from byzgather.gathering import schedule_slot
-from byzgather.simcore import TERMINATE, AgentSpec, Engine, run
+from byzgather.simcore import TERMINATE, AgentSpec, Engine, ViewEntry, initial_presented
 
 
 def two_node():
@@ -16,7 +16,7 @@ def test_crossing_agents_do_not_meet():
     g = two_node()
     a = ScriptedAgent([1])
     b = ScriptedAgent([1])
-    run(g, [AgentSpec(1, False, a, 0, 1), AgentSpec(2, False, b, 1, 1)], round_cap=2)
+    Engine(g, [AgentSpec(1, False, a, 0, 1), AgentSpec(2, False, b, 1, 1)], round_cap=2).run()
     # Round 1: both see both (co-located with nobody else, each alone actually
     # on its own node). Round 2: they swapped along the same edge, so each is
     # alone again and nobody ever observed a meeting.
@@ -29,7 +29,7 @@ def test_crossing_agents_do_not_meet():
 def test_entry_port_is_reported_after_a_move_only():
     g = two_node()
     a = ScriptedAgent([1, None])
-    trace = run(g, [AgentSpec(1, False, a, 0, 1)], round_cap=3)
+    trace = Engine(g, [AgentSpec(1, False, a, 0, 1)], round_cap=3).run()
     assert [e for _, e in a.seen] == [None, 1, None]
     assert trace.node_at(1, 1) == 0
     assert trace.node_at(1, 2) == 1
@@ -39,7 +39,7 @@ def test_entry_port_is_reported_after_a_move_only():
 def test_scheduled_wake_steps_same_round():
     g = two_node()
     a = ScriptedAgent()
-    trace = run(g, [AgentSpec(1, False, a, 0, 3)], round_cap=4)
+    trace = Engine(g, [AgentSpec(1, False, a, 0, 3)], round_cap=4).run()
     assert trace.wake_round[1] == 3
     assert len(a.seen) == 2  # rounds 3 and 4
 
@@ -48,11 +48,11 @@ def test_visit_wake_steps_next_round():
     g = build(3, [(0, 1), (1, 2)])
     mover = ScriptedAgent([1, 2])  # 0 -> 1 -> 2
     sleeper = ScriptedAgent()
-    trace = run(
+    trace = Engine(
         g,
         [AgentSpec(1, False, mover, 0, 1), AgentSpec(2, False, sleeper, 1, None)],
         round_cap=4,
-    )
+    ).run()
     # The mover reaches node 1 during round 1; the sleeper's first step is
     # round 2, which keeps every wake within one walk length of the first.
     assert trace.wake_round[2] == 2
@@ -63,8 +63,8 @@ def test_dormant_agents_are_invisible_until_woken():
     g = two_node()
     a = ScriptedAgent([None, None, 1])  # walks over to node 1 in round 3
     b = ScriptedAgent()
-    trace = run(g, [AgentSpec(1, False, a, 0, 1), AgentSpec(2, False, b, 1, 3)],
-                round_cap=4)
+    trace = Engine(g, [AgentSpec(1, False, a, 0, 1), AgentSpec(2, False, b, 1, 3)],
+                round_cap=4).run()
     assert a.seen[0][0] == (1,)
     assert trace.wake_round[2] == 3
     assert a.seen[3][0] == (1, 2)  # sees it only after arriving/waking
@@ -74,8 +74,8 @@ def test_visit_preempts_a_later_schedule():
     g = two_node()
     a = ScriptedAgent()
     b = ScriptedAgent()
-    trace = run(g, [AgentSpec(1, False, a, 0, 1), AgentSpec(2, False, b, 0, 9)],
-                round_cap=3)
+    trace = Engine(g, [AgentSpec(1, False, a, 0, 1), AgentSpec(2, False, b, 0, 9)],
+                round_cap=3).run()
     # Sharing a node with an awake agent wakes the sleeper the next round,
     # ahead of its scheduled round 9.
     assert trace.wake_round[2] == 2
@@ -87,7 +87,7 @@ def test_co_located_agents_share_one_view():
     g = two_node()
     a = ScriptedAgent()
     b = ScriptedAgent()
-    run(g, [AgentSpec(1, False, a, 0, 1), AgentSpec(2, False, b, 0, 1)], round_cap=1)
+    Engine(g, [AgentSpec(1, False, a, 0, 1), AgentSpec(2, False, b, 0, 1)], round_cap=1).run()
     assert a.seen[0][0] == (1, 2) and b.seen[0][0] == (1, 2)
 
 
@@ -95,11 +95,11 @@ def test_terminated_agents_remain_observable():
     g = two_node()
     quitter = ScriptedAgent([TERMINATE], presented_state=presented(sta="S_G_WG", gid=7))
     watcher = ScriptedAgent()
-    trace = run(
+    trace = Engine(
         g,
         [AgentSpec(1, False, quitter, 0, 1), AgentSpec(2, False, watcher, 0, 1)],
         round_cap=3,
-    )
+    ).run()
     assert trace.termination[1] == (1, 0)
     assert watcher.seen[1][0] == (1, 2)
     assert watcher.seen[2][0] == (1, 2)
@@ -108,7 +108,7 @@ def test_terminated_agents_remain_observable():
 
 def test_round_cap_yields_capped_trace_not_crash():
     g = two_node()
-    trace = run(g, [AgentSpec(1, False, ScriptedAgent(), 0, 1)], round_cap=5)
+    trace = Engine(g, [AgentSpec(1, False, ScriptedAgent(), 0, 1)], round_cap=5).run()
     assert trace.capped
     assert trace.rounds == 5
     assert trace.last_good_termination() is None
@@ -122,8 +122,8 @@ def test_byzantine_presented_keeps_true_id():
             return presented(sta="S_MG_TA", tar=999), None
 
     observer = ScriptedAgent()
-    run(g, [AgentSpec(1, False, observer, 0, 1), AgentSpec(9, True, Forger(), 0, 1)],
-        round_cap=3)
+    Engine(g, [AgentSpec(1, False, observer, 0, 1), AgentSpec(9, True, Forger(), 0, 1)],
+        round_cap=3).run()
     ids_seen, _ = observer.seen[2]
     assert ids_seen == (1, 9)  # the forged fields never touch the id
 
@@ -167,8 +167,8 @@ def test_a_protocol_stepper_is_driven_alike_in_either_seat(faulty):
     g = two_node()
     halting, watcher = _HaltingProtocolStepper(), Watcher()
     watcher.shown = []
-    trace = run(g, [AgentSpec(1, False, watcher, 0, 1), AgentSpec(9, faulty, halting, 0, 2)],
-                round_cap=15)
+    trace = Engine(g, [AgentSpec(1, False, watcher, 0, 1), AgentSpec(9, faulty, halting, 0, 2)],
+                round_cap=15).run()
     # Awake from round 2, halted in round 11: stepped in 4 of those 10
     # rounds, never after, with the full own-clock count.
     assert halting.stepped == [1, 4, 7, 10]
@@ -181,6 +181,95 @@ def test_a_protocol_stepper_is_driven_alike_in_either_seat(faulty):
     else:
         assert trace.events == [(r + 1, 9, "tick", r) for r in (1, 4, 7, 10)]
         assert trace.termination == {9: (11, 0)}
+
+
+class _PredicateWatcher:
+    """A protocol stepper with the hooks: never due again after its wake
+    round, it wants a changed view only while agent 2 stands on it."""
+
+    def __init__(self):
+        self.state = type("S", (), {"count": 0})()
+        self.events = []
+        self.presented_dirty = False
+        self.terminated = False
+        self.stepped = []
+
+    def step(self, view_, entry_port):
+        self.state.count += 1
+        self.stepped.append((self.state.count, 2 in view_.ids))
+        return None
+
+    def next_due(self):
+        return None
+
+    def watches_view(self):
+        return lambda view_: 2 in view_.ids
+
+    def build_presented(self):
+        return presented(terminated=self.terminated)
+
+
+def test_a_predicate_watcher_is_stepped_only_where_its_predicate_holds():
+    # A walker bounces between the two nodes, so the watcher's node changes
+    # every round, but the watcher wants only the views that show the walker.
+    g = two_node()
+    watcher = _PredicateWatcher()
+    trace = Engine(g, [AgentSpec(1, False, watcher, 0, 1),
+                       AgentSpec(2, False, ScriptedAgent([1] * 12), 1, 1)], round_cap=12).run()
+    present = [r for r in range(2, 13) if trace.node_at(2, r) == 0]
+    assert present == [2, 4, 6, 8, 10, 12]
+    # Wake round 1 is due; after it, every round that shows the walker.
+    assert watcher.stepped == [(1, False)] + [(r, True) for r in present]
+    assert watcher.state.count == 12
+
+
+class _IdsReader:
+    """A protocol stepper that reads only ``ids``; it keeps its first view and
+    changes its presented state in its second step."""
+
+    def __init__(self):
+        self.events = []
+        self.presented_dirty = False
+        self.terminated = False
+        self.views = []
+
+    def step(self, view_, entry_port):
+        self.views.append((view_, view_.ids))
+        self.presented_dirty = len(self.views) == 2
+        return TERMINATE if len(self.views) == 3 else None
+
+    def build_presented(self):
+        return presented(sta="S_G_WG", terminated=self.terminated)
+
+
+def test_view_entries_are_built_lazily_from_a_snapshot(monkeypatch):
+    from byzgather import simcore
+
+    built = []
+
+    def counting_entry(aid, state):
+        built.append(aid)
+        return ViewEntry(aid, state)
+
+    monkeypatch.setattr(simcore, "ViewEntry", counting_entry)
+    g = two_node()
+    readers = {aid: _IdsReader() for aid in (7, 3, 5)}
+    engine = Engine(g, [AgentSpec(aid, False, r, 0, 1) for aid, r in readers.items()],
+                    round_cap=10)
+    trace = engine.run()
+    assert trace.termination == {aid: (3, 0) for aid in readers}
+    # Views only read for ids never built their entries.
+    assert built == []
+    # A view kept across a presented update shows the states it was taken with.
+    first, ids = readers[3].views[0]
+    assert ids == {3, 5, 7}
+    assert first.entries == tuple(ViewEntry(aid, initial_presented(aid)) for aid in (3, 5, 7))
+    assert built == [3, 5, 7]
+    # Entries equal the eager tuple: sorted by true id, terminated agents included.
+    last = engine.node_view(0)
+    assert last.entries == tuple(ViewEntry(aid, presented(sta="S_G_WG", terminated=True))
+                                 for aid in (3, 5, 7))
+    assert last.entries is last.entries  # built once
 
 
 def test_run_is_deterministic_by_export():
@@ -205,7 +294,7 @@ def test_degenerate_single_node_world():
     g = build(1, [])
     seq = build_sequence(1, 0, [g])
     agent = GatheringAgent(1, seq)
-    trace = run(g, [AgentSpec(1, False, agent, 0, 1)], round_cap=25)
+    trace = Engine(g, [AgentSpec(1, False, agent, 0, 1)], round_cap=25).run()
     assert trace.capped
     assert agent.state.count == 25
     assert trace.position_log[1] == [(1, 0)]
@@ -227,8 +316,8 @@ def test_steppers_without_the_hook_are_stepped_every_round():
         static = True
 
     scripted, still, static = ScriptedAgent(), Still(), Static()
-    run(g, [AgentSpec(1, False, scripted, 0, 1), AgentSpec(2, True, still, 1, 1),
-            AgentSpec(3, True, static, 1, 2)], round_cap=6)
+    Engine(g, [AgentSpec(1, False, scripted, 0, 1), AgentSpec(2, True, still, 1, 1),
+            AgentSpec(3, True, static, 1, 2)], round_cap=6).run()
     assert len(scripted.seen) == 6  # nothing changes, yet it is stepped each round
     assert still.rounds == [1, 2, 3, 4, 5, 6]
     assert static.rounds == [2]  # a static strategy only in its wake round
@@ -248,7 +337,7 @@ def test_lazy_stepper_skips_idle_rounds_but_keeps_its_clock():
     g = build(3, [(0, 1), (1, 2)])
     seq = build_sequence(3, 0, [g])
     agent = Counting(1, seq)
-    run(g, [AgentSpec(1, False, agent, 0, 1)], round_cap=400)
+    Engine(g, [AgentSpec(1, False, agent, 0, 1)], round_cap=400).run()
     X, P = agent.X, agent.P
     assert stepped[:X] == list(range(1, X + 1))  # the whole initial walk
     assert X + P in stepped  # the last round of the first phase
@@ -393,7 +482,18 @@ def _hook_cells():
             and cfg.wake_policy == "adversarial_stagger" and cfg.seed == 0]
 
 
+def _wide_cells():
+    # k = 38 at f = 2: where the view predicates skip the most steps.
+    from byzgather.harness import acceptance_matrix
+
+    return [cfg for variant in ("NS", "SIM") for cfg in acceptance_matrix(variant)
+            if cfg.family == "random-connected" and cfg.f == 2 and cfg.k == 38
+            and cfg.strategy in ("random_walk", "estf_liar")
+            and cfg.wake_policy == "adversarial_stagger" and cfg.seed == 0]
+
+
 HOOK_CELLS = _hook_cells()
+WIDE_CELLS = _wide_cells()
 
 
 def test_hook_cells_cover_both_variants_and_every_strategy():
@@ -404,7 +504,13 @@ def test_hook_cells_cover_both_variants_and_every_strategy():
         (v, s) for v in ("NS", "SIM") for s in STRATEGY_NAMES}
 
 
-@pytest.mark.parametrize("cfg", HOOK_CELLS, ids=[c.scenario_id for c in HOOK_CELLS])
+def test_wide_cells_are_the_k38_walker_and_liar_cells_of_both_variants():
+    assert sorted((c.variant, c.strategy) for c in WIDE_CELLS) == [
+        (v, s) for v in ("NS", "SIM") for s in ("estf_liar", "random_walk")]
+
+
+@pytest.mark.parametrize("cfg", HOOK_CELLS + WIDE_CELLS,
+                         ids=[c.scenario_id for c in HOOK_CELLS + WIDE_CELLS])
 def test_lazy_stepping_matches_stepping_every_round(cfg, monkeypatch):
     # next_due() and watches_view() may only skip steps that change nothing.
     from byzgather import harness

@@ -153,7 +153,18 @@ def test_next_due_while_waiting_is_the_flag_round():
         assert twin.step(v, None) is None
         assert twin.events == [] and not twin.presented_dirty
         assert twin.build_presented() == before
-    assert agent.watches_view()  # a waiting agent reads every new view
+    # After a wait round only a new (gef, flags, idm) triple wakes it: a
+    # newcomer that keeps the vote, the flag count and the trusted maximum
+    # does not, one that raises a flag or the maximum does.
+    wants = agent.watches_view()
+    keeps = view([own_entry(agent), entry(4, estf=0, il={4})])
+    assert callable(wants) and not wants(v) and not wants(keeps)
+    quiet = copy.deepcopy(agent)
+    assert quiet.step(keeps, None) is None
+    assert quiet.events == [] and not quiet.presented_dirty
+    assert wants(view([own_entry(agent), entry(4, estf=0, flag_t=True, il={4})]))
+    assert wants(view([own_entry(agent), entry(7, estf=0, il={7})]))
+    assert wants(view([own_entry(agent), entry(4, estf=1, il={4}), entry(6, estf=1, il={6})]))
     twin.step(v, None)
     assert twin.flag_t and twin.presented_dirty
     twin.presented_dirty = False
