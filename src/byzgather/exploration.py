@@ -19,6 +19,10 @@ from typing import Iterable, NamedTuple
 from .portgraph import PortGraph
 
 
+#: Draws ``build_sequence`` makes, doubling the length each time, before it gives up.
+MAX_ATTEMPTS = 14
+
+
 class ExplorationError(ValueError):
     pass
 
@@ -102,18 +106,13 @@ def certify(seq: ExplorationSequence, g: PortGraph) -> CertResult:
     return CertResult(True)
 
 
-def build_sequence(
-    N: int,
-    seed: int,
-    benchmark_graphs: list[PortGraph],
-    initial_length: int | None = None,
-    max_attempts: int = 14,
-) -> ExplorationSequence:
+def build_sequence(N: int, seed: int, benchmark_graphs: list[PortGraph]) -> ExplorationSequence:
     """Draw seeded random offsets and certify them against the benchmark set.
 
-    Starts short and doubles the length (with a fresh draw) until every
-    benchmark graph certifies from every start.  The returned sequence's
-    length is the concrete move count all phase arithmetic uses.
+    Starts at ``max(4*N, 8)`` moves and doubles the length (with a fresh
+    draw) until every benchmark graph certifies from every start.  The
+    returned sequence's length is the concrete move count all phase
+    arithmetic uses.
     """
     if N < 1:
         raise ExplorationError("bound N must be >= 1")
@@ -123,9 +122,9 @@ def build_sequence(
     if all(g.node_count == 1 for g in benchmark_graphs):
         return ExplorationSequence((), N, seed)
 
-    length = initial_length if initial_length is not None else max(4 * N, 8)
+    length = max(4 * N, 8)
     last_failure = CertResult(False)
-    for attempt in range(max_attempts):
+    for attempt in range(MAX_ATTEMPTS):
         rng = random.Random(1_000_003 * seed + attempt)
         cand = ExplorationSequence(
             (rng.randrange(N) for _ in range(length)), N, seed
@@ -139,7 +138,7 @@ def build_sequence(
         if result.passed:
             return cand
         length *= 2
-    raise CertificationFailedAfterRetries(max_attempts, last_failure)
+    raise CertificationFailedAfterRetries(MAX_ATTEMPTS, last_failure)
 
 
 def save_sequence(seq: ExplorationSequence, path: str) -> None:

@@ -357,13 +357,21 @@ class Verdict:
     notes: tuple[str, ...] = ()
     metrics: dict[str, object] = field(default_factory=dict)
 
+    def reasons(self) -> list[str]:
+        """Why the run fails, one phrase per broken rule; empty when it passes."""
+        why = []
+        if not self.gathered:
+            why.append("not gathered")
+        elif not self.bound_satisfied:
+            why.append(f"rounds {self.measured_rounds} > bound {self.bound}")
+        if self.config.variant == "SIM" and self.same_round is not True:
+            why.append("termination rounds differ")
+        why.extend(name for name, okc in self.lemma_checks.items() if not okc)
+        return why
+
     @property
     def ok(self) -> bool:
-        if not (self.gathered and self.bound_satisfied):
-            return False
-        if self.config.variant == "SIM" and self.same_round is not True:
-            return False
-        return all(self.lemma_checks.values())
+        return not self.reasons()
 
     def csv_row(self) -> str:
         c = self.config
@@ -535,15 +543,7 @@ class SuiteResult:
         bad = self.failures()
         lines = [f"{total - len(bad)}/{total} scenarios passed"]
         for v in bad[:20]:
-            why = []
-            if not v.gathered:
-                why.append("not gathered")
-            if v.gathered and not v.bound_satisfied:
-                why.append(f"rounds {v.measured_rounds} > bound {v.bound}")
-            if v.config.variant == "SIM" and v.same_round is False:
-                why.append("termination rounds differ")
-            why.extend(name for name, okc in v.lemma_checks.items() if not okc)
-            lines.append(f"  FAIL {v.config.scenario_id}: {', '.join(why)}")
+            lines.append(f"  FAIL {v.config.scenario_id}: {', '.join(v.reasons())}")
         if len(bad) > 20:
             lines.append(f"  ... and {len(bad) - 20} more failures")
         return "\n".join(lines)

@@ -231,36 +231,3 @@ def _shuffled_ports(n: int, edges: list[tuple[int, int]], rng: random.Random) ->
         ports[v] = order
     return ports
 
-
-def parse_graph_file(text: str) -> PortGraph:
-    """Parse the plain-text graph format.
-
-    Line 1 is the node count, then one "u v" pair per line.  An optional
-    section starting with a single "ports" line lists per-node neighbor
-    orders as "v: u1 u2 ...".  Blank lines and "#" comments are ignored.
-    """
-    lines = [ln.strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln and not ln.startswith("#")]
-    if not lines:
-        raise GraphError("empty graph file")
-    try:
-        n = int(lines[0])
-    except ValueError as exc:
-        raise GraphError(f"bad node count line: {lines[0]!r}") from exc
-    edges: list[tuple[int, int]] = []
-    ports: dict[int, list[int]] = {}
-    in_ports = False
-    for ln in lines[1:]:
-        if ln == "ports":
-            in_ports = True
-            continue
-        try:
-            if in_ports:
-                head, _, rest = ln.partition(":")
-                ports[int(head)] = [int(tok) for tok in rest.split()]
-            else:
-                u, v = map(int, ln.split())
-                edges.append((u, v))
-        except ValueError as exc:
-            raise GraphError(f"bad {'ports' if in_ports else 'edge'} line: {ln!r}") from exc
-    return build(n, edges, ports or None)

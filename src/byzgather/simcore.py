@@ -93,16 +93,17 @@ class ObservationView:
 
     ``entries`` lists every visible agent on the node (observer included,
     terminated agents included, dormant agents not yet visible), sorted
-    by true id.  ``ids`` is the set of true ids.  ``version`` changes
-    whenever the node's composition or any occupant's presented state
-    changes; the engine keys its per-node view cache on it.  The entry
-    port is per-agent and passed to steppers separately.
+    by true id.  ``ids`` is the set of true ids.  ``version`` is drawn
+    when the view is built, from a clock shared by all nodes, so two
+    views never share one; the engine builds a new view only after the
+    node's composition or an occupant's presented state changed.  The
+    entry port is per-agent and passed to steppers separately.
 
     The engine passes ``entries`` as None and a ``snapshot`` instead: the
     occupants' true ids and their presented states, in id order, taken
     when the view is built.  ``entries`` is made from it on first read,
     so a view that is only read for ``ids`` never builds it, and a view
-    kept across a presented update still shows its own version.
+    kept across a presented update still shows the states it was built with.
 
     ``memo`` holds values derived from the view, keyed by name, so that
     co-located readers compute each once: ``memo.get(key)``, and on a
@@ -274,7 +275,13 @@ class WorldView:
 
 
 class Engine:
-    """Runs one scenario round-by-round, producing a deterministic Trace."""
+    """Runs one scenario round-by-round, producing a deterministic Trace.
+
+    The ``WorldView`` handed to world-fed strategies lives only as long
+    as ``run()``, so an engine is in no reference cycle and is freed by
+    reference counting.  A ``GatheringAgent``'s phase plan holds bound
+    methods of the agent, so each such agent is a small cycle of its own.
+    """
 
     def __init__(self, graph: PortGraph, specs: list[AgentSpec], round_cap: int,
                  scenario_id: str = "adhoc", variant: str = "NS",
@@ -302,17 +309,15 @@ class Engine:
         self.entry: list[int | None] = [None] * len(specs)
         self.presented: list[PresentedState | None] = [None] * len(specs)
         self.occupants: list[list[int]] = [[] for _ in range(graph.node_count)]
-        self._lazy_at: list[list[int]] = [[] for _ in range(graph.node_count)]  # active lazy agents
-        # Versions are drawn from one clock so a version value never repeats
-        # across nodes: an agent's versions compare even after it moves.
+        # A view's version is drawn from one clock when it is built, so a
+        # version never repeats across nodes.  The dirty set empties the
+        # cache of every node it names.
         self._vclock = 0
-        self.node_version = [0] * graph.node_count
         self._view_cache: list[ObservationView | None] = [None] * graph.node_count
         self.round = 0
         good = frozenset(aid for aid, b in zip(ids, self.is_byz) if not b)
         byz = frozenset(aid for aid, b in zip(ids, self.is_byz) if b)
         self.trace = Trace(scenario_id, variant, x_n, graph, good, byz)
-        self.world = WorldView(self)
         self._wake: list[int | None] = [None] * len(specs)
         self._every: list[int] = []  # active steppers stepped every round, sorted
         # Due rounds of lazy and static agents; heap entries whose round no
@@ -326,25 +331,23 @@ class Engine:
         self._good_left = len(good)
 
     def node_view(self, node: int) -> ObservationView:
-        ver = self.node_version[node]
-        cached = self._view_cache[node]
-        if cached is not None and cached.version == ver:
-            return cached
+        view = self._view_cache[node]
+        if view is not None:
+            return view
         occ = self.occupants[node]
         all_ids, presented = self.ids, self.presented
         ids = [all_ids[j] for j in occ]
-        view = ObservationView(self.graph.degree(node), None, frozenset(ids), ver,
-                               (ids, [presented[j] for j in occ]))
-        self._view_cache[node] = view
+        self._vclock += 1
+        view = self._view_cache[node] = ObservationView(
+            self.graph.degree(node), None, frozenset(ids), self._vclock,
+            (ids, [presented[j] for j in occ]))
         return view
 
     def _bump_dirty(self) -> None:
-        """A new version for every node in the dirty set."""
-        vclock, node_version = self._vclock, self.node_version
+        """Drop the cached view of every node in the dirty set."""
+        view_cache = self._view_cache
         for node in self._dirty:
-            vclock += 1
-            node_version[node] = vclock
-        self._vclock = vclock
+            view_cache[node] = None
 
     def _set_due(self, idx: int, r: int | None) -> None:
         if r is not None and r != self._due_round[idx]:
@@ -360,8 +363,6 @@ class Engine:
         self.presented[idx] = initial_presented(aid)
         insort(self.occupants[self.pos[idx]], idx)
         self._dirty.add(self.pos[idx])
-        if self._lazy[idx]:
-            self._lazy_at[self.pos[idx]].append(idx)
         if self._lazy[idx] or self._static[idx]:
             self._set_due(idx, r)
         else:
@@ -383,16 +384,18 @@ class Engine:
         return nxt
 
     def _changed(self) -> set[int]:
-        """Active lazy agents on nodes bumped since the last call that want their new view.
+        """Active lazy agents on nodes changed since the last call that want their new view.
 
         A watcher with a predicate is asked on the node's current view,
         built at most once per node.
         """
         changed: set[int] = set()
-        watch = self._watch
+        watch, lazy, status = self._watch, self._lazy, self.status
         for node in self._dirty:
             view = None
-            for j in self._lazy_at[node]:
+            for j in self.occupants[node]:
+                if not lazy[j] or status[j] != ACTIVE:
+                    continue
                 w = watch[j]
                 if w is None:
                     w = watch[j] = self.steppers[j].watches_view()
@@ -451,13 +454,12 @@ class Engine:
         entry = self.entry
         presented = self.presented
         occupants = self.occupants
-        lazy_at = self._lazy_at
-        node_version = self.node_version
         view_cache = self._view_cache
         dirty = self._dirty
         pending_visit: list[int] = []
         stepped_lazy: list[int] = []
         neighbor = self.graph.neighbor
+        world = WorldView(self)
         while True:
             changed = self._changed()
             self._reschedule(stepped_lazy, changed)
@@ -485,7 +487,7 @@ class Engine:
             for idx in self._to_step(r, changed):
                 stepper = steppers[idx]
                 if not protocol[idx]:
-                    new_presented, action = stepper.step(self.world, ids[idx])
+                    new_presented, action = stepper.step(world, ids[idx])
                     if new_presented is not None:
                         pres_updates.append((idx, new_presented))
                 else:
@@ -493,10 +495,7 @@ class Engine:
                         stepper.state.count = r - wake[idx]
                         stepped_lazy.append(idx)
                     node = pos[idx]
-                    view = view_cache[node]
-                    if view is None or view.version != node_version[node]:
-                        view = self.node_view(node)
-                    action = stepper.step(view, entry[idx])
+                    action = stepper.step(view_cache[node] or self.node_view(node), entry[idx])
                     if lazy[idx]:
                         # An extra step is always safe, and a mover's walk
                         # usually goes on: count it as watching unasked.
@@ -521,9 +520,7 @@ class Engine:
 
             for idx in terminations:
                 status[idx] = TERMINATED
-                if lazy[idx]:
-                    lazy_at[pos[idx]].remove(idx)
-                else:
+                if not lazy[idx]:
                     self._every.remove(idx)
                 if not is_byz[idx]:
                     trace.termination[ids[idx]] = (r, pos[idx])
@@ -537,9 +534,6 @@ class Engine:
                 u, q = neighbor(old, port)
                 occupants[old].remove(idx)
                 insort(occupants[u], idx)
-                if lazy[idx]:
-                    lazy_at[old].remove(idx)
-                    lazy_at[u].append(idx)
                 dirty.add(old)
                 dirty.add(u)
                 pos[idx] = u

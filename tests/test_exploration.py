@@ -98,10 +98,20 @@ def test_build_sequence_rejects_oversized_graph():
         build_sequence(3, 0, [g])
 
 
-def test_build_sequence_retry_exhaustion():
+def test_build_sequence_retry_exhaustion(monkeypatch):
+    from byzgather import exploration
+
+    drawn = []
+
+    def never_covers(seq, g):
+        drawn.append(seq.length)
+        return exploration.CertResult(False, 0, 1)
+
+    monkeypatch.setattr(exploration, "certify", never_covers)
     g = generate(GraphFamily("ring", 5, 0))
     with pytest.raises(CertificationFailedAfterRetries):
-        build_sequence(5, 0, [g], initial_length=1, max_attempts=1)
+        build_sequence(5, 0, [g])
+    assert drawn == [20 * 2 ** i for i in range(exploration.MAX_ATTEMPTS)]
 
 
 def test_identical_starts_follow_identical_trajectories():

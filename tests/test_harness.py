@@ -26,7 +26,7 @@ from byzgather.harness import (
     theorem1_bound,
     theorem2_bound,
 )
-from byzgather.portgraph import GraphError, parse_graph_file
+from byzgather.portgraph import GraphError
 
 
 def test_theorem1_bound_examples():
@@ -135,9 +135,6 @@ def test_scenario_parse_error_is_not_a_scenario_error():
     (parse_matrix_text, "n = five\n"),
     (parse_matrix_text, "f = x\n"),
     (config_from_trace_text, "#cfg scenario_id = a\n"),
-    (parse_graph_file, "3\n0 1 2\n"),
-    (parse_graph_file, "2\n0 a\n"),
-    (parse_graph_file, "2\n0 1\nports\nx: 1\n"),
 ])
 def test_parsers_raise_only_documented_errors(parse, text):
     with pytest.raises((ParseError, InvalidScenario, GraphError)):
@@ -180,6 +177,15 @@ def test_round_cap_produces_failing_verdict_not_crash():
     assert not verdict.gathered
     assert "RoundCapExceeded" in verdict.notes
     assert not verdict.ok
+
+
+def test_suite_summary_lists_each_failure_with_its_reasons():
+    result = run_suite([_tiny_config(), _tiny_config(cap=50), _tiny_config("SIM", cap=50)],
+                       workers=1)
+    assert result.summary() == ("1/3 scenarios passed\n"
+                                "  FAIL tiny-NS: not gathered\n"
+                                "  FAIL tiny-SIM: not gathered, termination rounds differ")
+    assert [v.reasons() for v in result.verdicts if v.ok] == [[]]
 
 
 def test_check_passing_run_reports_slack_and_metrics():

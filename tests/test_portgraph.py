@@ -10,7 +10,6 @@ from byzgather.portgraph import (
     SelfLoop,
     build,
     generate,
-    parse_graph_file,
 )
 
 
@@ -128,15 +127,3 @@ def test_family_parameter_validation():
         generate(GraphFamily("moebius", 5, 0))
     with pytest.raises(InvalidFamilyParameters):
         generate(GraphFamily("path", 0, 0))
-
-
-def test_parse_graph_file_canonical_ports():
-    g = parse_graph_file("3\n0 1\n1 2\n2 0\n")
-    assert g == build(3, [(0, 1), (1, 2), (2, 0)])
-
-
-def test_parse_graph_file_with_ports_section():
-    text = "3\n0 1\n1 2\n2 0\nports\n0: 2 1\n"
-    g = parse_graph_file(text)
-    assert g.neighbor(0, 1)[0] == 2
-    assert g.neighbor(0, 2)[0] == 1

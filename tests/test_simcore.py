@@ -1,4 +1,6 @@
+import gc
 import hashlib
+import weakref
 
 import pytest
 from conftest import ScriptedAgent, presented
@@ -343,6 +345,26 @@ def test_lazy_stepper_skips_idle_rounds_but_keeps_its_clock():
     assert X + P in stepped  # the last round of the first phase
     assert len(stepped) < 400
     assert agent.state.count == 400
+
+
+def test_finished_engine_is_freed_without_the_cycle_collector():
+    from byzgather.adversary import make_strategy
+    from byzgather.exploration import build_sequence
+
+    g = build(3, [(0, 1), (1, 2)])
+    seq = build_sequence(3, 0, [g])
+    specs = [AgentSpec(1, False, make_strategy("mimic_good", 1, 0, 1, seq=seq), 0, 1),
+             AgentSpec(2, True, make_strategy("random_walk", 2, 0, 1, seq=seq), 2, 1)]
+    gc.disable()
+    try:
+        engine = Engine(g, specs, round_cap=200)
+        trace = engine.run()
+        ref = weakref.ref(engine)
+        del engine
+        assert ref() is None
+        assert trace.rounds > 0
+    finally:
+        gc.enable()
 
 
 def _pinned_config(variant, family, n, f, rule, strategy, wake, seed, cap=None):
