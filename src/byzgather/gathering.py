@@ -116,6 +116,15 @@ def _mgst_tally(view: ObservationView) -> tuple[int, int | None, dict]:
     return tally
 
 
+def _pairs(view: ObservationView) -> list[tuple[int, int]]:
+    """Per view, memoised: the (group id, agent id) pair of every agent showing a group id."""
+    pairs = view.memo.get("pairs")
+    if pairs is None:
+        pairs = view.memo["pairs"] = [(e.presented.gid, e.id) for e in view.entries
+                                      if e.presented.gid is not None]
+    return pairs
+
+
 class AgentState:
     """Protocol variables of one agent (plus the round counter)."""
 
@@ -237,20 +246,48 @@ class GatheringAgent:
         False if every such step ignores the view: on any view it returns
         a stay, logs no event, leaves ``presented_dirty`` unset and
         changes no state a later step reads, so a changed view need not
-        be stepped on until the due count.  Outside the initial walk,
-        only the plan's ``_watch`` reads views between due counts.  A
+        be stepped on until the due count.  Only the plan's ``_watch``
+        reads views between due counts (walk counts are all due).  A
         waiting id collector answers the predicate ``_meets_new_ids``;
         every other watcher answers True.
         """
-        if self.state.count < self.X:
-            return True
         if self._watch is None:
             return False
         return self._meets_new_ids if self._watch == self._record_ids else True
 
+    def walk_leg(self):
+        """After a step that moved: the walk moves that follow, as ``(last,
+        base, offsets, wants)``, or None.
+
+        Each count up to ``last`` is, unless ``wants(view)`` holds, a step
+        that moves through ``exit_port(offsets[count - base], entry,
+        degree)``, logs no event, leaves ``presented_dirty`` unset and
+        changes no state.  The initial walk runs to count X and reads no
+        view (``wants`` None).  A walk window runs to rp 2X; rp 2X+1 stays
+        a due step, where ``_hunt`` blacklists.  There the look acts only
+        where its predicate holds: ``_record_ids`` on ``_meets_new_ids``,
+        ``_record_pairs`` on ``_meets_new_pairs``, ``_hunt`` on
+        ``_meets_target`` and ``_waiting_group_here`` on itself.  Each is
+        False on a view that shows only the walker (the lone-view rule).
+        """
+        c, X = self.state.count, self.X
+        if c < X:
+            return X, 1, self._offsets, None
+        pos = schedule_slot(c, X, self.P)
+        if pos is None or not X < pos[1] < 2 * X:
+            return None
+        rp = pos[1]
+        look = self._look
+        wants = (self._meets_new_ids if look == self._record_ids
+                 else self._meets_new_pairs if look == self._record_pairs
+                 else self._meets_target if look == self._hunt
+                 else look)
+        return c - rp + 2 * X, c - rp + X + 1, self._offsets, wants
+
     def _meets_new_ids(self, view: ObservationView) -> bool:
         """False if ``_record_ids`` would find nothing new in ``view``: it
-        then only compares, so the step is idle."""
+        then only compares, so the step is idle.  The walker's own id is
+        always in ``il``."""
         return not view.ids <= self.state.il
 
     def _walk_move(self, view: ObservationView, entry_port: int | None, i: int):
@@ -341,17 +378,22 @@ class GatheringAgent:
 
     def _hunt(self, view: ObservationView, rp: int) -> bool:
         """A searcher's walk: stop at the target, or blacklist it when the walk ends."""
-        st = self.state
-        tar = st.tar
-        if tar in view.ids and tar != st.id:
+        if self._meets_target(view):
             self._watch = self._watch_target
             self._consensus(view)
             return True
         if rp == 2 * self.X + 1:
             # Walk complete without a meeting: the target cannot be a waiting
             # good agent.
-            self._blacklist(tar)
+            self._blacklist(self.state.tar)
         return False
+
+    def _meets_target(self, view: ObservationView) -> bool:
+        """False if ``_hunt`` before rp 2X+1 would walk on: it then only
+        compares.  A walker never finds itself, even when its target is
+        its own id."""
+        tar = self.state.tar
+        return tar in view.ids and tar != self.state.id
 
     def _watch_target(self, view: ObservationView, rp: int) -> None:
         """After the find: blacklist a target that leaves or drops its claim by round 2X."""
@@ -402,16 +444,22 @@ class GatheringAgent:
 
     def _record_pairs(self, view: ObservationView, rp: int) -> bool:
         """Collect (group id, agent id) evidence; as a ``_look`` it walks the whole window."""
-        pairs = view.memo.get("pairs")
-        if pairs is None:
-            pairs = view.memo["pairs"] = [(e.presented.gid, e.id) for e in view.entries
-                                          if e.presented.gid is not None]
         own = self.state.id
-        self.state.gl.update(pair for pair in pairs if pair[1] != own)
+        self.state.gl.update(pair for pair in _pairs(view) if pair[1] != own)
         return False
 
-    def _waiting_group_here(self, view: ObservationView, rp: int) -> bool:
-        """A waiting group is recognized by estf+1 distinct vouching members."""
+    def _meets_new_pairs(self, view: ObservationView) -> bool:
+        """False if ``_record_pairs`` would add nothing to ``gl``.  The only
+        pair a lone walker shows is its own, which it never records."""
+        own, gl = self.state.id, self.state.gl
+        return any(pair[1] != own and pair not in gl for pair in _pairs(view))
+
+    def _waiting_group_here(self, view: ObservationView, rp: int | None = None) -> bool:
+        """A waiting group is recognized by estf+1 distinct vouching members.
+
+        Pure, so it is also its walk leg's predicate.  The walker is never
+        one of the members: it hunts a group only when it does not wait in it.
+        """
         st = self.state
         gid = self._group
         seen = 0

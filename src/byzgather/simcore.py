@@ -15,8 +15,19 @@ due), True (any change wakes it) or a predicate ``wants(view)``, asked
 once per change of its node, that wakes it only where it holds.  A
 Byzantine strategy with ``static = True`` is stepped once, in its wake
 round.  Every other stepper is stepped every round.  When a round changes
-nothing and no every-round stepper is active, the engine jumps straight
-to the next due round or scheduled wake.
+nothing, no every-round stepper is active and no walk leg is open, the
+engine jumps straight to the next due round or scheduled wake.
+
+A lazy stepper may also answer ``walk_leg()`` after a step that moved:
+None, or ``(last, base, offsets, wants)``, saying that each of its own
+counts up to ``last`` is a walk move through ``exit_port(offsets[count -
+base], entry, degree)`` unless ``wants(view)`` holds (``wants`` None: it
+never does).  For such a *walk leg* the engine moves the agent itself,
+with no ``step()`` call, and steps it in the first round where the leg
+has ended or ``wants`` holds on its node's view.  By the lone-view rule
+``wants`` is False on a view that shows only the walker, so it is asked
+only where another agent stands, and a lone walker costs one move per
+round and no view.
 
 A view costs what its readers use: its ``ids`` are built with it, its
 ``entries`` on first read, and ``view.memo`` holds values derived from
@@ -39,6 +50,7 @@ from heapq import heappop, heappush
 from operator import itemgetter
 from typing import Iterable, NamedTuple
 
+from .exploration import exit_port
 from .portgraph import PortGraph
 
 DORMANT, ACTIVE, TERMINATED = 0, 1, 2
@@ -309,6 +321,7 @@ class Engine:
         self.entry: list[int | None] = [None] * len(specs)
         self.presented: list[PresentedState | None] = [None] * len(specs)
         self.occupants: list[list[int]] = [[] for _ in range(graph.node_count)]
+        self._degree = [graph.degree(v) for v in range(graph.node_count)]
         # A view's version is drawn from one clock when it is built, so a
         # version never repeats across nodes.  The dirty set empties the
         # cache of every node it names.
@@ -324,8 +337,11 @@ class Engine:
         # longer matches _due_round are stale and skipped.
         self._due: list[tuple[int, int]] = []
         self._due_round: list[int | None] = [None] * len(specs)
-        # Per lazy agent, watches_view() since its last step (None: not asked).
+        # Per lazy agent, watches_view() since its last step (None: not asked;
+        # False also while a walk leg is open).
         self._watch: list = [None] * len(specs)
+        # Open walk legs, agent -> (last round, round of offset 0, offsets, wants).
+        self._legs: dict[int, tuple] = {}
         self._dirty: set[int] = set()  # nodes changed since the last _changed()
         self._dormant = list(range(len(specs)))
         self._good_left = len(good)
@@ -339,7 +355,7 @@ class Engine:
         ids = [all_ids[j] for j in occ]
         self._vclock += 1
         view = self._view_cache[node] = ObservationView(
-            self.graph.degree(node), None, frozenset(ids), self._vclock,
+            self._degree[node], None, frozenset(ids), self._vclock,
             (ids, [presented[j] for j in occ]))
         return view
 
@@ -387,7 +403,8 @@ class Engine:
         """Active lazy agents on nodes changed since the last call that want their new view.
 
         A watcher with a predicate is asked on the node's current view,
-        built at most once per node.
+        built at most once per node.  A leg walker's watch is False, so it
+        is left to ``_walk``.
         """
         changed: set[int] = set()
         watch, lazy, status = self._watch, self._lazy, self.status
@@ -414,16 +431,44 @@ class Engine:
 
         An agent in ``changed`` is stepped this round anyway, and computes
         its due round after that step; an older due entry of it can only
-        fall on a round in which it is stepped regardless.
+        fall on a round in which it is stepped regardless.  A leg walker is
+        left to ``_walk``.
         """
         for idx in set(stepped).difference(changed):
-            if self.status[idx] == ACTIVE:
+            if self.status[idx] == ACTIVE and idx not in self._legs:
                 due = self.steppers[idx].next_due()
                 self._set_due(idx, None if due is None else self._wake[idx] + due - 1)
 
+    def _open_leg(self, idx: int, leg: tuple) -> None:
+        """Hold a walker's leg in rounds; it is neither due nor watching until it ends."""
+        last, base, offsets, wants = leg
+        shift = self._wake[idx] - 1  # own count c falls in round c + shift
+        self._legs[idx] = (last + shift, base + shift, offsets, wants)
+        self._watch[idx] = False
+        self._due_round[idx] = None  # an older due entry would step it mid-leg
+
+    def _walk(self, r: int, moves: list[tuple[int, int]]) -> list[int]:
+        """Add round ``r``'s move of every leg walker to ``moves``; return
+        the walkers whose leg ends here instead, to be stepped."""
+        legs, pos, entry, occupants = self._legs, self.pos, self.entry, self.occupants
+        degree, view_cache = self._degree, self._view_cache
+        ending = []
+        for idx, (last, base, offsets, wants) in legs.items():
+            node = pos[idx]
+            if r > last or (wants is not None and len(occupants[node]) > 1
+                            and wants(view_cache[node] or self.node_view(node))):
+                ending.append(idx)
+            else:
+                moves.append((idx, exit_port(offsets[r - base], entry[idx], degree[node])))
+        for idx in ending:
+            del legs[idx]
+        return ending
+
     def _to_step(self, r: int, changed: set[int]) -> list[int]:
         """Active agents stepped in round ``r``, in id order."""
-        chosen = changed | self._changed()  # the latter: nodes of agents woken now
+        chosen = set(changed)
+        if self._dirty:  # the nodes of agents woken now
+            chosen |= self._changed()
         chosen.update(self._every)
         due, due_round, status = self._due, self._due_round, self.status
         while due and due[0][0] <= r:
@@ -450,6 +495,7 @@ class Engine:
         lazy = self._lazy
         wake = self._wake
         watch = self._watch
+        legs = self._legs
         pos = self.pos
         entry = self.entry
         presented = self.presented
@@ -462,28 +508,32 @@ class Engine:
         world = WorldView(self)
         while True:
             changed = self._changed()
-            self._reschedule(stepped_lazy, changed)
+            if stepped_lazy:
+                self._reschedule(stepped_lazy, changed)
             r = self.round + 1
-            if not (changed or pending_visit or self._every):
+            if not (changed or pending_visit or self._every or legs):
                 r = self._next_round(r)
             self.round = r
             if r > self.round_cap:
                 trace.capped = True
                 return self._finish(r - 1)
 
-            for idx in list(self._dormant):
-                if self.schedule[idx] == r:
-                    self._activate(idx, r)
-            for idx in pending_visit:
-                if status[idx] == DORMANT:
-                    self._activate(idx, r)
-            pending_visit = []
-            self._bump_dirty()
+            if self._dormant:
+                for idx in list(self._dormant):
+                    if self.schedule[idx] == r:
+                        self._activate(idx, r)
+                for idx in pending_visit:
+                    if status[idx] == DORMANT:
+                        self._activate(idx, r)
+                pending_visit = []
+                self._bump_dirty()
 
             terminations: list[int] = []
             moves: list[tuple[int, int]] = []
             pres_updates: list[tuple[int, PresentedState]] = []
             stepped_lazy = []
+            if legs:
+                changed.update(self._walk(r, moves))
             for idx in self._to_step(r, changed):
                 stepper = steppers[idx]
                 if not protocol[idx]:
@@ -497,9 +547,7 @@ class Engine:
                     node = pos[idx]
                     action = stepper.step(view_cache[node] or self.node_view(node), entry[idx])
                     if lazy[idx]:
-                        # An extra step is always safe, and a mover's walk
-                        # usually goes on: count it as watching unasked.
-                        watch[idx] = True if action is not None else None
+                        watch[idx] = None
                     ev = stepper.events
                     if ev:
                         if not is_byz[idx]:
@@ -517,6 +565,10 @@ class Engine:
                     entry[idx] = None
                 else:
                     moves.append((idx, action))
+                    if lazy[idx] and protocol[idx] and hasattr(stepper, "walk_leg"):
+                        leg = stepper.walk_leg()
+                        if leg is not None:
+                            self._open_leg(idx, leg)
 
             for idx in terminations:
                 status[idx] = TERMINATED

@@ -14,6 +14,9 @@ same quorum and stop together.
 
 from __future__ import annotations
 
+from collections import Counter
+from itertools import chain
+
 from .exploration import ExplorationSequence
 from .gathering import GatheringAgent, cist_length, most_frequent_smallest
 from .simcore import TERMINATE, ObservationView
@@ -28,16 +31,9 @@ def termination_threshold(x_n: int, idm: int) -> int:
 
 def trusted_max_id(view: ObservationView, gef: int) -> int | None:
     """Largest id appearing in at least gef+1 of the presented id lists."""
-    counts: dict[int, int] = {}
-    for e in view.entries:
-        for aid in e.presented.il:
-            counts[aid] = counts.get(aid, 0) + 1
+    counts = Counter(chain.from_iterable(e.presented.il for e in view.entries))
     need = gef + 1
-    best = None
-    for aid, c in counts.items():
-        if c >= need and (best is None or aid > best):
-            best = aid
-    return best
+    return max((aid for aid, c in counts.items() if c >= need), default=None)
 
 
 def simterm(view: ObservationView) -> tuple[int, int, int | None]:

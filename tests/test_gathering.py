@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from conftest import entry, seq_of, view
 
+from byzgather.exploration import exit_port
 from byzgather.gathering import (
     AgentState,
     GatheringAgent,
@@ -18,7 +19,7 @@ from byzgather.gathering import (
     reliable_gids,
     schedule_slot,
 )
-from byzgather.simcore import TERMINATE
+from byzgather.simcore import TERMINATE, ViewEntry
 
 
 # -- label and formula units --------------------------------------------------
@@ -562,7 +563,9 @@ def test_next_due_is_a_count_that_acts(stage):
             or (twin._look, twin._watch, twin._end) != plan)
 
 
-WATCHING = {"walk", "mgst-target", "mgst-found", "gst1-waiting"}
+# The initial walk watches nothing: each of its counts is due, and the
+# engine runs the moves in between as a walk leg.
+WATCHING = {"mgst-target", "mgst-found", "gst1-waiting"}
 PREDICATE = {"cist-bit0"}  # a waiting id collector wants only views with new ids
 
 
@@ -593,3 +596,108 @@ def test_waiting_id_collector_wants_only_views_with_an_unknown_id():
     assert wants(arrival)
     assert agent.step(arrival, None) is None
     assert agent.presented_dirty and agent.state.il == {5, 9, 12}
+
+
+# -- walk legs ---------------------------------------------------------------------
+
+LEG_OFFSETS = (1, 2, 0, 2)  # X = 4: a window walks in rp 5..8, its leg is rp 6..8
+
+
+def lone(agent, degree=3):
+    """The view of a walker alone on its node: itself, as it presents itself."""
+    return view([ViewEntry(agent.state.id, agent.build_presented())], degree=degree)
+
+
+def into_leg(agent, v):
+    """Step on ``v`` through the walk window's first move; return the leg
+    the agent then answers, with its events and presented update drained."""
+    for _ in range(agent.P):
+        if agent.step(v, 2) is not None:
+            break
+    agent.events.clear()
+    agent.presented_dirty = False
+    leg = agent.walk_leg()
+    X, P = agent.X, agent.P
+    assert schedule_slot(agent.state.count, X, P)[1] == X + 1
+    assert schedule_slot(leg[0], X, P)[1] == 2 * X  # rp 2X+1 stays a due step
+    return leg
+
+
+def assert_leg_moves_until(agent, leg, quiet, meeting):
+    """The leg's predicate is False on the lone view and on each ``quiet``
+    view, where every count of the leg is a move through ``exit_port``
+    that logs no event, leaves ``presented_dirty`` unset and changes no
+    state; it holds on ``meeting``, where the step acts otherwise."""
+    last, base, offsets, wants = leg
+    for v in (lone(agent), *quiet):
+        assert not wants(v)
+        for count in range(agent.state.count + 1, last + 1):
+            twin = copy.deepcopy(agent)
+            before = snapshot(twin)
+            twin.state.count = count - 1
+            assert twin.step(v, 2) == exit_port(offsets[count - base], 2, v.degree)
+            assert twin.events == []
+            assert not twin.presented_dirty
+            assert snapshot(twin) == before
+    assert wants(meeting)
+    twin = copy.deepcopy(agent)
+    before = snapshot(twin)
+    move = exit_port(offsets[twin.state.count + 1 - base], 2, meeting.degree)
+    assert (twin.step(meeting, 2) != move or twin.presented_dirty
+            or snapshot(twin) != before)
+
+
+def test_initial_walk_is_one_leg_with_no_predicate():
+    agent = fresh_agent(offsets=LEG_OFFSETS)
+    agent.step(lone(agent), None)
+    assert agent.walk_leg() == (agent.X, 1, LEG_OFFSETS, None)
+
+
+def test_id_collection_leg_acts_only_on_an_unknown_id():
+    agent = fresh_agent(agent_id=5, offsets=LEG_OFFSETS)
+    advance_to_phases(agent)  # label bit 1 is 1: the first main phase walks
+    leg = into_leg(agent, view([entry(5), entry(9)], degree=3))
+    assert agent.state.il == {5, 9}
+    restyled = entry(9, sta="S_MG_TA", end_ci=True, in_mgst=True, estf=1, tar=9)
+    assert_leg_moves_until(agent, leg, quiet=[view([entry(5), restyled], degree=2)],
+                           meeting=view([entry(5), entry(12)], degree=3))
+
+
+def test_hunt_leg_acts_only_at_the_target():
+    agent = make_mgst_agent(8, {3, 5, 8, 11, 13, 17, 19, 23}, estf=1, offsets=LEG_OFFSETS)
+    leg = into_leg(agent, view([entry(8), entry(30)], degree=3))
+    assert agent.state.tar == 3
+    target = dict(sta="S_MG_TA", end_ci=True, in_mgst=True, estf=1)
+    quiet = [view([entry(8), entry(5, tar=5, **target)], degree=3),
+             view([entry(8), entry(30, tar=3, **target)], degree=2)]
+    assert_leg_moves_until(agent, leg, quiet,
+                           meeting=view([entry(8), entry(3, tar=3, **target)], degree=3))
+
+
+def test_group_evidence_leg_acts_only_on_a_new_pair():
+    agent = make_mgst_agent(9, {3, 9, 30, 40}, estf=1, offsets=LEG_OFFSETS)
+    agent.state.sta, agent.state.gid = "S_G_EG", 3
+    agent.state.count += agent.P  # the first rendezvous phase
+    leg = into_leg(agent, view([entry(9), entry(51, sta="S_G_WG", gid=3)], degree=3))
+    assert agent.state.gl == {(3, 51)}
+    quiet = [view([entry(9), entry(51, sta="S_G_WG", gid=3)], degree=2),
+             view([entry(9), entry(30)], degree=3)]
+    assert_leg_moves_until(agent, leg, quiet,
+                           meeting=view([entry(9), entry(51, sta="S_G_WG", gid=4)], degree=3))
+
+
+def test_group_hunt_leg_acts_only_at_the_waiting_group():
+    # Agent 9 waits in group 4, but the smallest reliable group is 3.
+    agent = make_mgst_agent(9, {3, 9, 30, 40}, estf=1, offsets=LEG_OFFSETS)
+    st = agent.state
+    st.sta, st.gid, st.gl = "S_G_WG", 4, {(3, 51), (3, 52)}
+    st.count += 2 * agent.P  # the second rendezvous phase
+    leg = into_leg(agent, view([entry(9), entry(30)], degree=3))
+    assert agent._group == 3
+    quiet = [view([entry(9), entry(51, sta="S_G_WG", gid=3)], degree=3),
+             view([entry(9), entry(51, sta="S_G_EG", gid=3), entry(52, sta="S_G_EG", gid=3)],
+                  degree=2),
+             view([entry(9), entry(51, sta="S_G_WG", gid=4), entry(52, sta="S_G_WG", gid=4)],
+                  degree=3)]
+    assert_leg_moves_until(agent, leg, quiet, meeting=view(
+        [entry(9), entry(51, sta="S_G_WG", gid=3), entry(52, sta="S_G_WG", gid=3)], degree=3))

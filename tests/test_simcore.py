@@ -339,12 +339,53 @@ def test_lazy_stepper_skips_idle_rounds_but_keeps_its_clock():
     g = build(3, [(0, 1), (1, 2)])
     seq = build_sequence(3, 0, [g])
     agent = Counting(1, seq)
-    Engine(g, [AgentSpec(1, False, agent, 0, 1)], round_cap=400).run()
+    lazy = Engine(g, [AgentSpec(1, False, agent, 0, 1)], round_cap=400).run()
+    eager = _EagerEngine(g, [AgentSpec(1, False, GatheringAgent(1, seq), 0, 1)],
+                         round_cap=400).run()
     X, P = agent.X, agent.P
-    assert stepped[:X] == list(range(1, X + 1))  # the whole initial walk
-    assert X + P in stepped  # the last round of the first phase
-    assert len(stepped) < 400
+    # The wake round, and the first and last rounds of the first phase.
+    assert {1, X + 1, X + P} <= set(stepped)
+    assert lazy.position_log == eager.position_log
+    # A lone walker's leg moves are not steps: of its initial walk only
+    # the first count is stepped.
+    assert not set(range(2, X + 1)) & set(stepped)
+    assert len(stepped) < 66 // 2  # stepping every walk count took 66 steps
     assert agent.state.count == 400
+
+
+def test_a_walker_is_stepped_only_where_its_leg_meets_an_unknown_id():
+    # Agent 1 collects ids on its walk in the first main phase (label bit 1
+    # is 1).  Agent 2 waits on node 0, which the walk passes several times;
+    # only the first pass of the walk window shows an id it does not know.
+    from byzgather.exploration import build_sequence
+    from byzgather.gathering import GatheringAgent
+
+    class Counting(GatheringAgent):
+        def step(self, view, entry_port):
+            action = super().step(view, entry_port)
+            stepped.append(self.state.count)
+            return action
+
+    stepped = []
+    g = build(3, [(0, 1), (1, 2)])
+    seq = build_sequence(3, 0, [g])
+    X = seq.length
+    cap = 3 * X + 1  # through the walk window's last round, rp 2X+1
+    agent = Counting(1, seq)
+    lazy = Engine(g, [AgentSpec(1, False, agent, 0, 1),
+                      AgentSpec(2, False, ScriptedAgent(), 0, 1)], round_cap=cap).run()
+    eager = _EagerEngine(g, [AgentSpec(1, False, GatheringAgent(1, seq), 0, 1),
+                             AgentSpec(2, False, ScriptedAgent(), 0, 1)], round_cap=cap).run()
+    assert lazy.position_log == eager.position_log
+    assert agent.state.il == {1, 2}
+    # The initial walk passes node 0 unstepped: it reads no view.
+    assert [c for c in range(2, X + 1) if lazy.node_at(1, c) == 0]
+    assert not set(range(2, X + 1)) & set(stepped)
+    # The window's leg, rp X+2..2X, is own counts 2X+2..3X (wake round 1).
+    leg = range(2 * X + 2, 3 * X + 1)
+    meets = [c for c in leg if lazy.node_at(1, c) == 0]
+    assert len(meets) > 1
+    assert [c for c in stepped if c in leg] == meets[:1]
 
 
 def test_finished_engine_is_freed_without_the_cycle_collector():
@@ -514,8 +555,17 @@ def _wide_cells():
             and cfg.wake_policy == "adversarial_stagger" and cfg.seed == 0]
 
 
+def _walker_cells():
+    # n = 10, k = 4, f = 0: lone walkers on walks of up to 320 moves, where
+    # walk legs skip the most steps.
+    from byzgather.harness import baseline_matrix
+
+    return [cfg for cfg in baseline_matrix() if cfg.n == 10]
+
+
 HOOK_CELLS = _hook_cells()
 WIDE_CELLS = _wide_cells()
+WALKER_CELLS = _walker_cells()
 
 
 def test_hook_cells_cover_both_variants_and_every_strategy():
@@ -531,8 +581,15 @@ def test_wide_cells_are_the_k38_walker_and_liar_cells_of_both_variants():
         (v, s) for v in ("NS", "SIM") for s in ("estf_liar", "random_walk")]
 
 
-@pytest.mark.parametrize("cfg", HOOK_CELLS + WIDE_CELLS,
-                         ids=[c.scenario_id for c in HOOK_CELLS + WIDE_CELLS])
+def test_walker_cells_are_the_n10_baseline_cells_of_every_family():
+    assert sorted((c.family, c.graph_seed) for c in WALKER_CELLS) == sorted(
+        [("complete", 0), ("path", 0), ("ring", 0)]
+        + [(fam, seed) for fam in ("random-connected", "random-tree") for seed in (0, 1, 2)])
+    assert {(c.variant, c.f, len(c.ids), c.N) for c in WALKER_CELLS} == {("NS", 0, 4, 10)}
+
+
+@pytest.mark.parametrize("cfg", HOOK_CELLS + WIDE_CELLS + WALKER_CELLS,
+                         ids=[c.scenario_id for c in HOOK_CELLS + WIDE_CELLS + WALKER_CELLS])
 def test_lazy_stepping_matches_stepping_every_round(cfg, monkeypatch):
     # next_due() and watches_view() may only skip steps that change nothing.
     from byzgather import harness
