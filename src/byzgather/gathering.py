@@ -14,7 +14,6 @@ observation, so the protocol never learns true node identities.
 
 from __future__ import annotations
 
-from collections import Counter
 from typing import Iterable
 
 from .exploration import ExplorationSequence, exit_port
@@ -92,7 +91,9 @@ def reliable_gids(gl: Iterable[tuple[int, int]], estf: int) -> set[int]:
 
 def most_frequent_smallest(values: Iterable[int]) -> int:
     """Most frequent value; ties break toward the smallest."""
-    counts = Counter(values)
+    counts: dict[int, int] = {}
+    for v in values:
+        counts[v] = counts.get(v, 0) + 1
     best = max(counts.values())
     return min(v for v, c in counts.items() if c == best)
 
@@ -105,8 +106,7 @@ def _mgst_tally(view: ObservationView) -> tuple[int, int | None, dict]:
         vals = []
         tar_counts: dict = {}
         n_mg = 0
-        for e in view.entries:
-            p = e.presented
+        for p in view.states:
             if p.in_mgst:
                 n_mg += 1
                 if p.estf is not None:
@@ -116,12 +116,12 @@ def _mgst_tally(view: ObservationView) -> tuple[int, int | None, dict]:
     return tally
 
 
-def _pairs(view: ObservationView) -> list[tuple[int, int]]:
+def _pairs(view: ObservationView) -> frozenset[tuple[int, int]]:
     """Per view, memoised: the (group id, agent id) pair of every agent showing a group id."""
     pairs = view.memo.get("pairs")
     if pairs is None:
-        pairs = view.memo["pairs"] = [(e.presented.gid, e.id) for e in view.entries
-                                      if e.presented.gid is not None]
+        pairs = view.memo["pairs"] = frozenset(
+            (p.gid, aid) for aid, p in zip(view.order, view.states) if p.gid is not None)
     return pairs
 
 
@@ -227,12 +227,18 @@ class GatheringAgent:
         the walk window ``X+1..2X+1`` while the plan's ``_look`` is set, and
         the phase's last round when the plan's ``_end`` is set or the next
         phase is a main phase after id collection (``in_mgst`` rises).
+        Before id collection ends both rendezvous phases plan nothing, so
+        after a main phase the next main phase's first round is due.
         """
         c = self.state.count + 1
         pos = schedule_slot(c, self.X, self.P)
-        if pos is None or pos[1] == 1:
+        if pos is None:
             return c
         slot, rp = pos
+        if slot and not self.state.end_ci:
+            return c + (3 - slot) * self.P - rp + 1
+        if rp == 1:
+            return c
         if self._look is not None and rp <= 2 * self.X + 1:
             return c + max(0, self.X + 1 - rp)
         last = c + self.P - rp
@@ -247,13 +253,15 @@ class GatheringAgent:
         a stay, logs no event, leaves ``presented_dirty`` unset and
         changes no state a later step reads, so a changed view need not
         be stepped on until the due count.  Only the plan's ``_watch``
-        reads views between due counts (walk counts are all due).  A
-        waiting id collector answers the predicate ``_meets_new_ids``;
-        every other watcher answers True.
+        reads views between due counts (walk counts are all due), so an
+        agent without one answers False, and one with one answers the
+        predicate under which its watch acts (``_wants``): a waiting id
+        collector ``_meets_new_ids``, a waiting group member
+        ``_meets_new_pairs``, a target ``_consensus_acts`` and a searcher
+        that found its target ``_watch_target_acts``.  A step on a view
+        where the predicate is False only compares, so it is idle.
         """
-        if self._watch is None:
-            return False
-        return self._meets_new_ids if self._watch == self._record_ids else True
+        return False if self._watch is None else self._wants(self._watch)
 
     def walk_leg(self):
         """After a step that moved: the walk moves that follow, as ``(last,
@@ -265,10 +273,11 @@ class GatheringAgent:
         changes no state.  The initial walk runs to count X and reads no
         view (``wants`` None).  A walk window runs to rp 2X; rp 2X+1 stays
         a due step, where ``_hunt`` blacklists.  There the look acts only
-        where its predicate holds: ``_record_ids`` on ``_meets_new_ids``,
-        ``_record_pairs`` on ``_meets_new_pairs``, ``_hunt`` on
-        ``_meets_target`` and ``_waiting_group_here`` on itself.  Each is
-        False on a view that shows only the walker (the lone-view rule).
+        where its predicate (``_wants``) holds: ``_record_ids`` on
+        ``_meets_new_ids``, ``_record_pairs`` on ``_meets_new_pairs``,
+        ``_hunt`` on ``_meets_target`` and ``_waiting_group_here`` on
+        itself.  Each is False on a view that shows only the walker (the
+        lone-view rule).
         """
         c, X = self.state.count, self.X
         if c < X:
@@ -277,12 +286,18 @@ class GatheringAgent:
         if pos is None or not X < pos[1] < 2 * X:
             return None
         rp = pos[1]
-        look = self._look
-        wants = (self._meets_new_ids if look == self._record_ids
-                 else self._meets_new_pairs if look == self._record_pairs
-                 else self._meets_target if look == self._hunt
-                 else look)
-        return c - rp + 2 * X, c - rp + X + 1, self._offsets, wants
+        return c - rp + 2 * X, c - rp + X + 1, self._offsets, self._wants(self._look)
+
+    def _wants(self, part):
+        """The predicate that holds wherever plan part ``part``, a look or a
+        watch, may act on a view.  ``_waiting_group_here`` is pure, so it
+        is its own."""
+        return (self._meets_new_ids if part == self._record_ids
+                else self._meets_new_pairs if part == self._record_pairs
+                else self._meets_target if part == self._hunt
+                else self._consensus_acts if part == self._consensus
+                else self._watch_target_acts if part == self._watch_target
+                else part)
 
     def _meets_new_ids(self, view: ObservationView) -> bool:
         """False if ``_record_ids`` would find nothing new in ``view``: it
@@ -349,6 +364,9 @@ class GatheringAgent:
 
     def _end_main_phase(self):
         st = self.state
+        # The plan is finished; before id collection ends, the two
+        # rendezvous phases that follow are never stepped to replace it.
+        self._look = self._watch = self._end = None
         if st.end_ci or st.x != cist_length(st.id):
             st.x += 1
             return
@@ -397,17 +415,26 @@ class GatheringAgent:
 
     def _watch_target(self, view: ObservationView, rp: int) -> None:
         """After the find: blacklist a target that leaves or drops its claim by round 2X."""
-        st = self.state
-        tar = st.tar
-        if rp <= 2 * self.X and tar not in st.bl and self._target_suspicious(view, tar):
-            self._blacklist(tar)
+        if rp <= 2 * self.X and self._target_suspicious(view):
+            self._blacklist(self.state.tar)
         self._consensus(view)
 
-    def _target_suspicious(self, view: ObservationView, tar: int) -> bool:
-        for e in view.entries:
-            if e.id == tar:
-                return e.presented.tar != tar
-        return True  # gone: it moved away
+    def _watch_target_acts(self, view: ObservationView) -> bool:
+        """False if ``_watch_target`` would neither blacklist nor let
+        ``_consensus`` act on ``view``: it then only compares, so the step
+        is idle."""
+        return self._target_suspicious(view) or self._consensus_acts(view)
+
+    def _target_suspicious(self, view: ObservationView) -> bool:
+        """The target is not blacklisted yet, and it is gone or no longer
+        claims itself."""
+        st = self.state
+        tar = st.tar
+        if tar in st.bl:
+            return False
+        if tar not in view.ids:
+            return True  # gone: it moved away
+        return view.states[view.order.index(tar)].tar != tar
 
     def _blacklist(self, tar: int) -> None:
         st = self.state
@@ -420,25 +447,47 @@ class GatheringAgent:
 
         ``rp`` is unused; it lets a target take this as its ``_watch``.
         """
+        gef = self._consensus_vote(view)
+        if gef is None:
+            return
         st = self.state
-        if st.gid is not None or st.estf is None:
-            return
-        n_mg, gef, tar_counts = _mgst_tally(view)
-        if n_mg < 4 * st.estf or gef is None:
-            return
         st.gef = gef
+        if not self._forms_group(view, gef):
+            return
         tar = st.tar
-        if tar_counts.get(tar, 0) < 4 * gef + 4:
-            return
-        gc = [e for e in view.entries if e.presented.in_mgst and e.presented.tar == tar]
-        if not any(e.id == tar for e in gc):
-            return
+        member_ids = [aid for aid, p in zip(view.order, view.states)
+                      if p.in_mgst and p.tar == tar]  # in id order
         st.gid = tar
-        member_ids = sorted(e.id for e in gc)
-        st.sta = STA_G_EG if st.id in member_ids[: 2 * st.gef + 2] else STA_G_WG
+        st.sta = STA_G_EG if st.id in member_ids[: 2 * gef + 2] else STA_G_WG
         self._watch = None  # a group member watches nothing more this phase
         self.presented_dirty = True
         self.events.append(("gid_set", (st.gid, st.gef, tuple(member_ids))))
+
+    def _consensus_acts(self, view: ObservationView) -> bool:
+        """False if ``_consensus`` on ``view`` would store the ``gef`` it
+        already holds, or none, and form no group: the step is then idle."""
+        gef = self._consensus_vote(view)
+        return gef is not None and (gef != self.state.gef or self._forms_group(view, gef))
+
+    def _consensus_vote(self, view: ObservationView) -> int | None:
+        """The estimate vote ``_consensus`` stores on ``view``; None where it
+        stores nothing: the agent is in a group already or has no
+        estimate, fewer than ``4*estf`` agents show ``in_mgst``, or none
+        of them shows an estimate."""
+        st = self.state
+        if st.gid is not None or st.estf is None:
+            return None
+        n_mg, gef, _ = _mgst_tally(view)
+        return None if n_mg < 4 * st.estf else gef
+
+    def _forms_group(self, view: ObservationView, gef: int) -> bool:
+        """At least ``4*gef+4`` agents show ``in_mgst`` and the agent's
+        target, the target among them."""
+        tar = self.state.tar
+        if _mgst_tally(view)[2].get(tar, 0) < 4 * gef + 4 or tar not in view.ids:
+            return False
+        p = view.states[view.order.index(tar)]
+        return p.in_mgst and p.tar == tar
 
     # -- rendezvous -----------------------------------------------------------
 
@@ -451,8 +500,8 @@ class GatheringAgent:
     def _meets_new_pairs(self, view: ObservationView) -> bool:
         """False if ``_record_pairs`` would add nothing to ``gl``.  The only
         pair a lone walker shows is its own, which it never records."""
-        own, gl = self.state.id, self.state.gl
-        return any(pair[1] != own and pair not in gl for pair in _pairs(view))
+        own = self.state.id
+        return any(aid != own for _, aid in _pairs(view).difference(self.state.gl))
 
     def _waiting_group_here(self, view: ObservationView, rp: int | None = None) -> bool:
         """A waiting group is recognized by estf+1 distinct vouching members.
@@ -463,8 +512,7 @@ class GatheringAgent:
         st = self.state
         gid = self._group
         seen = 0
-        for e in view.entries:
-            p = e.presented
+        for p in view.states:
             if p.sta == STA_G_WG and p.gid == gid:
                 seen += 1
                 if seen > st.estf:

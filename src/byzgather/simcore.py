@@ -29,9 +29,14 @@ has ended or ``wants`` holds on its node's view.  By the lone-view rule
 only where another agent stands, and a lone walker costs one move per
 round and no view.
 
-A view costs what its readers use: its ``ids`` are built with it, its
-``entries`` on first read, and ``view.memo`` holds values derived from
-it that every co-located reader would otherwise recompute.
+A view costs what its readers use.  Its ``ids`` and its two columns,
+``order`` (true ids in id order) and ``states`` (their presented
+states), are taken with it, and readers scan the columns; the
+``ViewEntry`` tuples of ``entries`` are built only on first read, for
+readers that want tuples.  ``view.memo`` holds values derived from a
+view that every co-located reader would otherwise recompute.  A round
+in which nothing is due, changed or woken, and no every-round stepper
+is active, steps nobody: the engine only moves its leg walkers.
 
 The engine is protocol-agnostic, and the stepper, not the seat, picks
 how it is called.  A protocol stepper (one with ``build_presented()``)
@@ -103,32 +108,38 @@ class ViewEntry(NamedTuple):
 class ObservationView:
     """Shared per-node observation: degree plus all co-located agents.
 
-    ``entries`` lists every visible agent on the node (observer included,
-    terminated agents included, dormant agents not yet visible), sorted
-    by true id.  ``ids`` is the set of true ids.  ``version`` is drawn
-    when the view is built, from a clock shared by all nodes, so two
-    views never share one; the engine builds a new view only after the
-    node's composition or an occupant's presented state changed.  The
-    entry port is per-agent and passed to steppers separately.
+    A view is read by column.  ``order`` lists the true ids of every
+    visible agent on the node (observer included, terminated agents
+    included, dormant agents not yet visible) in id order, and ``states``
+    their presented states in the same order; both are taken when the view
+    is built, so a view kept across a presented update still shows the
+    states it was built with.  ``ids`` is the set of true ids.
+    ``version`` is drawn when the view is built, from a clock shared by
+    all nodes, so two views never share one; the engine builds a new view
+    only after the node's composition or an occupant's presented state
+    changed.  The entry port is per-agent and passed to steppers
+    separately.
 
-    The engine passes ``entries`` as None and a ``snapshot`` instead: the
-    occupants' true ids and their presented states, in id order, taken
-    when the view is built.  ``entries`` is made from it on first read,
-    so a view that is only read for ``ids`` never builds it, and a view
-    kept across a presented update still shows the states it was built with.
+    ``entries``, the same agents as ``ViewEntry(id, presented)`` tuples,
+    is built on first read, for readers that want tuples.  The engine
+    passes ``entries`` as None and the columns as ``snapshot = (order,
+    states)``; a view made from ``entries`` alone takes its columns from
+    them.
 
     ``memo`` holds values derived from the view, keyed by name, so that
     co-located readers compute each once: ``memo.get(key)``, and on a
     miss compute and store it.
     """
 
-    __slots__ = ("degree", "_entries", "_snapshot", "ids", "version", "memo")
+    __slots__ = ("degree", "_entries", "order", "states", "ids", "version", "memo")
 
     def __init__(self, degree: int, entries: tuple[ViewEntry, ...] | None, ids: frozenset[int],
                  version: int, snapshot: tuple[list[int], list[PresentedState]] | None = None):
         self.degree = degree
         self._entries = entries
-        self._snapshot = snapshot
+        if snapshot is None:
+            snapshot = [e.id for e in entries], [e.presented for e in entries]
+        self.order, self.states = snapshot
         self.ids = ids
         self.version = version
         self.memo: dict = {}
@@ -137,8 +148,7 @@ class ObservationView:
     def entries(self) -> tuple[ViewEntry, ...]:
         entries = self._entries
         if entries is None:
-            entries = self._entries = tuple(map(ViewEntry, *self._snapshot))
-            self._snapshot = None
+            entries = self._entries = tuple(map(ViewEntry, self.order, self.states))
         return entries
 
 
@@ -323,8 +333,8 @@ class Engine:
         self.occupants: list[list[int]] = [[] for _ in range(graph.node_count)]
         self._degree = [graph.degree(v) for v in range(graph.node_count)]
         # A view's version is drawn from one clock when it is built, so a
-        # version never repeats across nodes.  The dirty set empties the
-        # cache of every node it names.
+        # version never repeats across nodes.  A node's cached view is
+        # dropped where the node enters the dirty set.
         self._vclock = 0
         self._view_cache: list[ObservationView | None] = [None] * graph.node_count
         self.round = 0
@@ -338,8 +348,9 @@ class Engine:
         self._due: list[tuple[int, int]] = []
         self._due_round: list[int | None] = [None] * len(specs)
         # Per lazy agent, watches_view() since its last step (None: not asked;
-        # False also while a walk leg is open).
-        self._watch: list = [None] * len(specs)
+        # False also while a walk leg is open).  False for every other
+        # agent and once an agent has terminated: no change wakes it.
+        self._watch: list = [None if lazy else False for lazy in self._lazy]
         # Open walk legs, agent -> (last round, round of offset 0, offsets, wants).
         self._legs: dict[int, tuple] = {}
         self._dirty: set[int] = set()  # nodes changed since the last _changed()
@@ -359,12 +370,6 @@ class Engine:
             (ids, [presented[j] for j in occ]))
         return view
 
-    def _bump_dirty(self) -> None:
-        """Drop the cached view of every node in the dirty set."""
-        view_cache = self._view_cache
-        for node in self._dirty:
-            view_cache[node] = None
-
     def _set_due(self, idx: int, r: int | None) -> None:
         if r is not None and r != self._due_round[idx]:
             heappush(self._due, (r, idx))
@@ -377,8 +382,10 @@ class Engine:
         self.trace.wake_round[aid] = r
         self.trace.position_log[aid] = [(r, self.pos[idx])]
         self.presented[idx] = initial_presented(aid)
-        insort(self.occupants[self.pos[idx]], idx)
-        self._dirty.add(self.pos[idx])
+        node = self.pos[idx]
+        insort(self.occupants[node], idx)
+        self._dirty.add(node)
+        self._view_cache[node] = None
         if self._lazy[idx] or self._static[idx]:
             self._set_due(idx, r)
         else:
@@ -407,13 +414,13 @@ class Engine:
         is left to ``_walk``.
         """
         changed: set[int] = set()
-        watch, lazy, status = self._watch, self._lazy, self.status
+        watch = self._watch
         for node in self._dirty:
             view = None
             for j in self.occupants[node]:
-                if not lazy[j] or status[j] != ACTIVE:
-                    continue
                 w = watch[j]
+                if w is False:
+                    continue
                 if w is None:
                     w = watch[j] = self.steppers[j].watches_view()
                 if w is True:
@@ -526,7 +533,6 @@ class Engine:
                     if status[idx] == DORMANT:
                         self._activate(idx, r)
                 pending_visit = []
-                self._bump_dirty()
 
             terminations: list[int] = []
             moves: list[tuple[int, int]] = []
@@ -534,7 +540,12 @@ class Engine:
             stepped_lazy = []
             if legs:
                 changed.update(self._walk(r, moves))
-            for idx in self._to_step(r, changed):
+            due = self._due
+            if changed or dirty or self._every or (due and due[0][0] <= r):
+                to_step = self._to_step(r, changed)
+            else:
+                to_step = ()  # a round of leg moves only
+            for idx in to_step:
                 stepper = steppers[idx]
                 if not protocol[idx]:
                     new_presented, action = stepper.step(world, ids[idx])
@@ -572,6 +583,7 @@ class Engine:
 
             for idx in terminations:
                 status[idx] = TERMINATED
+                watch[idx] = False
                 if not lazy[idx]:
                     self._every.remove(idx)
                 if not is_byz[idx]:
@@ -588,14 +600,16 @@ class Engine:
                 insort(occupants[u], idx)
                 dirty.add(old)
                 dirty.add(u)
+                view_cache[old] = view_cache[u] = None
                 pos[idx] = u
                 entry[idx] = q
                 trace.position_log[ids[idx]].append((r + 1, u))
 
             for idx, p in pres_updates:
                 presented[idx] = p
-                dirty.add(pos[idx])
-            self._bump_dirty()
+                node = pos[idx]
+                dirty.add(node)
+                view_cache[node] = None
 
             if self._good_left == 0:
                 return self._finish(r)

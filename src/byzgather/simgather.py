@@ -31,7 +31,7 @@ def termination_threshold(x_n: int, idm: int) -> int:
 
 def trusted_max_id(view: ObservationView, gef: int) -> int | None:
     """Largest id appearing in at least gef+1 of the presented id lists."""
-    counts = Counter(chain.from_iterable(e.presented.il for e in view.entries))
+    counts = Counter(chain.from_iterable(p.il for p in view.states))
     need = gef + 1
     return max((aid for aid, c in counts.items() if c >= need), default=None)
 
@@ -43,8 +43,7 @@ def simterm(view: ObservationView) -> tuple[int, int, int | None]:
     if memo is None:
         vals = []
         flags = 0
-        for e in view.entries:
-            p = e.presented
+        for p in view.states:
             if p.estf is not None:
                 vals.append(p.estf)
             if p.flag_t:

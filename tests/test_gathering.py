@@ -20,6 +20,7 @@ from byzgather.gathering import (
     schedule_slot,
 )
 from byzgather.simcore import TERMINATE, ViewEntry
+from byzgather.simgather import SimGatheringAgent
 
 
 # -- label and formula units --------------------------------------------------
@@ -548,12 +549,12 @@ def test_next_due_skips_only_idle_counts(stage):
     assert pos is not None and pos[1] == {"1": 1, "X+1": X + 1, "P": P}[due_at]
 
 
-@pytest.mark.parametrize("stage", sorted(set(HOOK_STAGES) - {"gst-before-cist-ends"}))
+@pytest.mark.parametrize("stage", sorted(HOOK_STAGES))
 def test_next_due_is_a_count_that_acts(stage):
     # At the due count the same view yields a move, a termination, a
     # presented-state change, the phase counter's bump or a new plan.
-    # Before id collection ends both rendezvous phases plan to wait, so
-    # the second's first round re-plans the same empty plan: left out.
+    # Before id collection ends, the rendezvous phases that plan nothing
+    # are skipped, so the due count plans the next main phase.
     agent, v = HOOK_STAGES[stage][0]()
     _, twin = assert_idle_until_due(agent, v)
     x = twin.state.x
@@ -564,9 +565,11 @@ def test_next_due_is_a_count_that_acts(stage):
 
 
 # The initial walk watches nothing: each of its counts is due, and the
-# engine runs the moves in between as a walk leg.
-WATCHING = {"mgst-target", "mgst-found", "gst1-waiting"}
-PREDICATE = {"cist-bit0"}  # a waiting id collector wants only views with new ids
+# engine runs the moves in between as a walk leg.  No stage answers True;
+# a watcher (a waiting id collector, a target, a searcher that found its
+# target, a waiting group member) answers the predicate under which its
+# watch acts.
+PREDICATE = {"cist-bit0", "mgst-target", "mgst-found", "gst1-waiting"}
 
 
 @pytest.mark.parametrize("stage", sorted(HOOK_STAGES))
@@ -577,9 +580,94 @@ def test_watches_view_only_where_a_step_reads_it(stage):
     if stage in PREDICATE:
         assert callable(answer) and not answer(v)
     else:
-        assert answer is (stage in WATCHING)
-    if stage not in WATCHING | PREDICATE:
+        assert answer is False
         assert_idle_until_due(agent, v, fresh_views=True)
+
+
+def assert_watch_wants(agent, quiet, acting):
+    """The watcher's predicate is False on each ``quiet`` view, where every
+    step up to the due count is idle (``gef`` included), and holds on each
+    ``acting`` view, where the next step acts."""
+    wants = agent.watches_view()
+    assert callable(wants)
+    for v in quiet:
+        assert not wants(v)
+        assert_idle_until_due(agent, v)
+    for v in acting:
+        assert wants(v)
+        twin = copy.deepcopy(agent)
+        before = snapshot(twin)
+        action = twin.step(v, None)
+        assert action is not None or twin.events or twin.presented_dirty or snapshot(twin) != before
+
+
+def mgst_peer(agent_id, estf, tar):
+    return entry(agent_id, sta="S_MG_SA", end_ci=True, in_mgst=True, estf=estf, tar=tar)
+
+
+def test_target_wants_only_a_new_vote_or_its_group():
+    # Target 5 at estf 1 has voted gef 1 on four agents hunting target 3.
+    agent, _ = HOOK_STAGES["mgst-target"][0]()
+    me = entry(5, sta="S_MG_TA", end_ci=True, in_mgst=True, estf=1, tar=5)
+    agent.step(view([me] + [mgst_peer(50 + i, 1, 3) for i in range(4)]), None)
+    assert agent.state.gef == 1 and agent.state.gid is None
+    quiet = [view([me, entry(30)]),  # too few agents in group making to vote
+             view([me] + [mgst_peer(60 + i, 2, 3) for i in range(2)]),  # three: still too few
+             view([me] + [mgst_peer(60 + i, 1, 5) for i in range(6)])]  # the same vote, 7 of 8
+    acting = [view([me] + [mgst_peer(50 + i, 2, 3) for i in range(4)]),  # a new vote: 2
+              view([me] + [mgst_peer(60 + i, 1, 5) for i in range(7)])]  # its group forms
+    assert_watch_wants(agent, quiet, acting)
+
+
+def test_found_target_watch_wants_only_a_suspect_target_or_consensus():
+    # Searcher 8 at estf 0 stands at its target 3 and has voted gef 0.
+    agent, _ = HOOK_STAGES["mgst-found"][0]()
+    assert agent.state.gef == 0
+    target = entry(3, sta="S_MG_TA", end_ci=True, in_mgst=True, estf=0, tar=3)
+    quiet = [view([entry(8), target]),
+             view([entry(8), target, entry(30), mgst_peer(40, 0, 9)])]  # the same vote, no group
+    acting = [view([entry(8)]),  # the target left
+              view([entry(8), target._replace(presented=target.presented._replace(tar=30))]),
+              view([entry(8), target] + [mgst_peer(50 + i, 1, 9) for i in range(3)]),  # vote 1
+              view([entry(8), target] + [mgst_peer(50 + i, 0, 3) for i in range(3)])]  # group
+    assert_watch_wants(agent, quiet, acting)
+    # Once the target is blacklisted, its absence alone is quiet.
+    gone = view([entry(8)])
+    agent.step(gone, None)
+    assert agent.state.bl == {3}
+    assert_watch_wants(agent, quiet=[gone, view([entry(8), entry(30)])], acting=[])
+
+
+def test_waiting_member_wants_only_a_new_pair():
+    # Member 9 of waiting group 3 has recorded the pair (3, 51).
+    agent, _ = HOOK_STAGES["gst1-waiting"][0]()
+    agent.step(view([entry(9, sta="S_G_WG", gid=3), entry(51, sta="S_G_WG", gid=3)]), None)
+    assert agent.state.gl == {(3, 51)}
+    quiet = [view([entry(9, sta="S_G_WG", gid=3), entry(51, sta="S_G_EG", gid=3)]),
+             view([entry(9, sta="S_G_WG", gid=3), entry(30)])]  # its own pair is never recorded
+    acting = [view([entry(9, sta="S_G_WG", gid=3), entry(51, sta="S_G_WG", gid=4)])]
+    assert_watch_wants(agent, quiet, acting)
+
+
+@pytest.mark.parametrize("cls", [GatheringAgent, SimGatheringAgent])
+def test_id_collector_skips_the_rendezvous_phases_that_plan_nothing(cls):
+    # After a main phase of id collection, both rendezvous phases plan
+    # nothing: the next main phase's first round is due, and no view is
+    # watched until then.
+    agent = cls(5, seq_of((0,) * 4, 5))
+    advance_to_phases(agent)
+    v = view([entry(5), entry(9)], degree=2)
+    for _ in range(agent.P):
+        agent.step(v, None)
+    X, P = agent.X, agent.P
+    assert schedule_slot(agent.state.count, X, P) == (0, P) and not agent.state.end_ci
+    assert agent.watches_view() is False
+    due, twin = assert_idle_until_due(agent, v, fresh_views=True)
+    assert due == agent.state.count + 1 + 2 * P
+    assert schedule_slot(due, X, P) == (0, 1)
+    assert twin.watches_view() is False
+    twin.step(v, None)
+    assert twin._end == twin._end_main_phase
 
 
 def test_waiting_id_collector_wants_only_views_with_an_unknown_id():

@@ -598,3 +598,29 @@ def test_lazy_stepping_matches_stepping_every_round(cfg, monkeypatch):
     monkeypatch.setattr(harness, "Engine", _EagerEngine)
     _, eager = harness.run_scenario(cfg)
     assert harness.export_trace_text(lazy, cfg) == harness.export_trace_text(eager, cfg)
+
+
+# Good step() calls on the NS k = 38 estf_liar cell, as measured with
+# every watcher answering a predicate and the rendezvous phases before
+# the end of id collection skipped (9,788 when each watcher answered True
+# and every phase's first round was due).  Step counts repeat exactly, so
+# a lost skip fails here in seconds.
+GUARD_STEPS = 2_596
+
+
+def test_good_step_calls_stay_within_the_guard(monkeypatch):
+    from byzgather import gathering, harness
+
+    calls = 0
+    step = gathering.GatheringAgent.step
+
+    def counting(self, view_, entry_port):
+        nonlocal calls
+        calls += 1
+        return step(self, view_, entry_port)
+
+    monkeypatch.setattr(gathering.GatheringAgent, "step", counting)
+    cfg = next(c for c in WIDE_CELLS if c.variant == "NS" and c.strategy == "estf_liar")
+    verdict, _ = harness.run_scenario(cfg)
+    assert verdict.ok
+    assert calls <= GUARD_STEPS
