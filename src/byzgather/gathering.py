@@ -216,77 +216,50 @@ class GatheringAgent:
             self.presented_dirty = True
         return action
 
-    def next_due(self) -> int:
-        """First own-clock count after the current one that must be stepped.
+    def wait(self):
+        """After a step: ``(due, wants, walk)``, the counts it may skip.
 
-        Stepping at any count strictly between the current one and the
-        returned one, on the view seen at the last step, would return a
-        stay, log no event, leave ``presented_dirty`` unset and change no
-        state a later step reads (the round counter aside).  Due are every
-        initial-walk count, each phase's first round (it plans the phase),
-        the walk window ``X+1..2X+1`` while the plan's ``_look`` is set, and
-        the phase's last round when the plan's ``_end`` is set or the next
-        phase is a main phase after id collection (``in_mgst`` rises).
-        Before id collection ends both rendezvous phases plan nothing, so
-        after a main phase the next main phase's first round is due.
+        ``due`` is the first own count after the current one that must be
+        stepped.  Each count before it, on a view where ``wants`` is False
+        (None: on any view), is a step that returns a stay, or, where
+        ``walk = (base, offsets)`` is given, the move ``exit_port(offsets[count
+        - base], entry, degree)``; it logs no event, leaves
+        ``presented_dirty`` unset and changes no state a later step reads
+        (the round counter aside).  Due are each phase's first round (it
+        plans the phase), the first round of the walk window ``X+1..2X+1``
+        while the plan's ``_look`` is set, the window's rp 2X+1, where
+        ``_hunt`` blacklists, and the phase's last round when the plan's
+        ``_end`` is set or the next phase is a main phase after id
+        collection (``in_mgst`` rises).  Before id collection ends both
+        rendezvous phases plan nothing, so after a main phase the next main
+        phase's first round is due.
+
+        The initial walk reads no view, so it names a walk up to count X.
+        A walk window names one up to rp 2X, and its look's predicate
+        (``_wants``) as ``wants``; outside a walk, a plan's ``_watch`` is
+        the only part that reads views between due counts, and ``wants``
+        is its predicate.  Each predicate is False on a view that shows
+        only the walker (the lone-view rule).
         """
-        c = self.state.count + 1
-        pos = schedule_slot(c, self.X, self.P)
-        if pos is None:
-            return c
-        slot, rp = pos
-        if slot and not self.state.end_ci:
-            return c + (3 - slot) * self.P - rp + 1
-        if rp == 1:
-            return c
-        if self._look is not None and rp <= 2 * self.X + 1:
-            return c + max(0, self.X + 1 - rp)
-        last = c + self.P - rp
-        if self._end is not None or (slot == 2 and self.state.end_ci):
-            return last
-        return last + 1
-
-    def watches_view(self):
-        """Which changed views the steps before ``next_due()`` may act on.
-
-        False if every such step ignores the view: on any view it returns
-        a stay, logs no event, leaves ``presented_dirty`` unset and
-        changes no state a later step reads, so a changed view need not
-        be stepped on until the due count.  Only the plan's ``_watch``
-        reads views between due counts (walk counts are all due), so an
-        agent without one answers False, and one with one answers the
-        predicate under which its watch acts (``_wants``): a waiting id
-        collector ``_meets_new_ids``, a waiting group member
-        ``_meets_new_pairs``, a target ``_consensus_acts`` and a searcher
-        that found its target ``_watch_target_acts``.  A step on a view
-        where the predicate is False only compares, so it is idle.
-        """
-        return False if self._watch is None else self._wants(self._watch)
-
-    def walk_leg(self):
-        """After a step that moved: the walk moves that follow, as ``(last,
-        base, offsets, wants)``, or None.
-
-        Each count up to ``last`` is, unless ``wants(view)`` holds, a step
-        that moves through ``exit_port(offsets[count - base], entry,
-        degree)``, logs no event, leaves ``presented_dirty`` unset and
-        changes no state.  The initial walk runs to count X and reads no
-        view (``wants`` None).  A walk window runs to rp 2X; rp 2X+1 stays
-        a due step, where ``_hunt`` blacklists.  There the look acts only
-        where its predicate (``_wants``) holds: ``_record_ids`` on
-        ``_meets_new_ids``, ``_record_pairs`` on ``_meets_new_pairs``,
-        ``_hunt`` on ``_meets_target`` and ``_waiting_group_here`` on
-        itself.  Each is False on a view that shows only the walker (the
-        lone-view rule).
-        """
-        c, X = self.state.count, self.X
-        if c < X:
-            return X, 1, self._offsets, None
-        pos = schedule_slot(c, X, self.P)
-        if pos is None or not X < pos[1] < 2 * X:
-            return None
-        rp = pos[1]
-        return c - rp + 2 * X, c - rp + X + 1, self._offsets, self._wants(self._look)
+        st, X, P = self.state, self.X, self.P
+        c = st.count + 1
+        if c <= X:
+            return X + 1, None, (1, self._offsets)
+        slot, rp = schedule_slot(c, X, P)
+        look = self._look is not None and rp <= 2 * X + 1
+        if look and X + 1 < rp <= 2 * X:
+            return c + 2 * X + 1 - rp, self._wants(self._look), (c + X + 1 - rp, self._offsets)
+        if slot and not st.end_ci:
+            due = c + (3 - slot) * P - rp + 1
+        elif rp == 1:
+            due = c
+        elif look:
+            due = c + max(0, X + 1 - rp)
+        elif self._end is not None or (slot == 2 and st.end_ci):
+            due = c + P - rp
+        else:
+            due = c + P - rp + 1
+        return due, None if self._watch is None else self._wants(self._watch), None
 
     def _wants(self, part):
         """The predicate that holds wherever plan part ``part``, a look or a
@@ -506,7 +479,7 @@ class GatheringAgent:
     def _waiting_group_here(self, view: ObservationView, rp: int | None = None) -> bool:
         """A waiting group is recognized by estf+1 distinct vouching members.
 
-        Pure, so it is also its walk leg's predicate.  The walker is never
+        Pure, so it is also its walk's predicate.  The walker is never
         one of the members: it hunts a group only when it does not wait in it.
         """
         st = self.state

@@ -6,37 +6,32 @@ reads an observation of its node as of the end of the previous round,
 all transitions run, and all moves apply simultaneously.  Two agents
 crossing one edge in opposite directions never observe each other.
 
-Stepping is lazy where a stepper allows it.  A stepper with
-``next_due()`` and ``watches_view()`` methods is stepped only when its
-own clock reaches the count ``next_due()`` named, or when its node's
-observation changed since its last step and it watches that view:
-``watches_view()`` answers False (it ignores every view until it is
-due), True (any change wakes it) or a predicate ``wants(view)``, asked
-once per change of its node, that wakes it only where it holds.  A
-Byzantine strategy with ``static = True`` is stepped once, in its wake
-round.  Every other stepper is stepped every round.  When a round changes
-nothing, no every-round stepper is active and no walk leg is open, the
-engine jumps straight to the next due round or scheduled wake.
+Stepping is lazy where a stepper allows it.  A protocol stepper with a
+``wait()`` method is asked, right after each step that did not
+terminate, ``(due, wants, walk)``: ``due`` is the next own count that
+must be stepped (None: none is), ``wants(view)`` the predicate under
+which an earlier changed view acts (None: none does), and ``walk =
+(base, offsets)`` the moves it makes until then.  Each lazy agent has one
+record: its due round in a heap, its predicate, asked once per change of
+its node, and, after a step that moved and named a walk, an entry in the
+walks.  The engine moves a walker itself, with no ``step()`` call, each
+own count c through ``exit_port(offsets[c - base], entry, degree)``,
+until its due round or until ``wants`` holds.  A walker's node changes
+every round, so its predicate is asked every round; by the lone-view
+rule it is False on a view that shows only the walker, so a lone walker
+costs one move per round and no view.  The rule is for walkers only: a
+watcher's predicate may hold on its own changed view.  A Byzantine
+strategy with ``static = True`` is stepped once, in its wake round.
+Every other stepper is stepped every round.  When a round changes
+nothing, no every-round stepper is active and nobody walks, the engine
+jumps straight to the next due round or scheduled wake.
 
-A lazy stepper may also answer ``walk_leg()`` after a step that moved:
-None, or ``(last, base, offsets, wants)``, saying that each of its own
-counts up to ``last`` is a walk move through ``exit_port(offsets[count -
-base], entry, degree)`` unless ``wants(view)`` holds (``wants`` None: it
-never does).  For such a *walk leg* the engine moves the agent itself,
-with no ``step()`` call, and steps it in the first round where the leg
-has ended or ``wants`` holds on its node's view.  By the lone-view rule
-``wants`` is False on a view that shows only the walker, so it is asked
-only where another agent stands, and a lone walker costs one move per
-round and no view.
-
-A view costs what its readers use.  Its ``ids`` and its two columns,
+A view costs what its readers use: its ``ids`` and its two columns,
 ``order`` (true ids in id order) and ``states`` (their presented
-states), are taken with it, and readers scan the columns; the
-``ViewEntry`` tuples of ``entries`` are built only on first read, for
-readers that want tuples.  ``view.memo`` holds values derived from a
-view that every co-located reader would otherwise recompute.  A round
-in which nothing is due, changed or woken, and no every-round stepper
-is active, steps nobody: the engine only moves its leg walkers.
+states), are taken with it, and ``view.memo`` holds values derived from
+it that every co-located reader would otherwise recompute.  A round in
+which nothing is due, changed or woken, and no every-round stepper is
+active, steps nobody: the engine only moves its walkers.
 
 The engine is protocol-agnostic, and the stepper, not the seat, picks
 how it is called.  A protocol stepper (one with ``build_presented()``)
@@ -100,11 +95,6 @@ def initial_presented(agent_id: int) -> PresentedState:
     return PresentedState(STA_CI, False, False, None, None, None, frozenset((agent_id,)), False, False)
 
 
-class ViewEntry(NamedTuple):
-    id: int
-    presented: PresentedState
-
-
 class ObservationView:
     """Shared per-node observation: degree plus all co-located agents.
 
@@ -120,36 +110,21 @@ class ObservationView:
     changed.  The entry port is per-agent and passed to steppers
     separately.
 
-    ``entries``, the same agents as ``ViewEntry(id, presented)`` tuples,
-    is built on first read, for readers that want tuples.  The engine
-    passes ``entries`` as None and the columns as ``snapshot = (order,
-    states)``; a view made from ``entries`` alone takes its columns from
-    them.
-
     ``memo`` holds values derived from the view, keyed by name, so that
     co-located readers compute each once: ``memo.get(key)``, and on a
     miss compute and store it.
     """
 
-    __slots__ = ("degree", "_entries", "order", "states", "ids", "version", "memo")
+    __slots__ = ("degree", "order", "states", "ids", "version", "memo")
 
-    def __init__(self, degree: int, entries: tuple[ViewEntry, ...] | None, ids: frozenset[int],
-                 version: int, snapshot: tuple[list[int], list[PresentedState]] | None = None):
+    def __init__(self, degree: int, order: list[int], states: list[PresentedState],
+                 ids: frozenset[int], version: int):
         self.degree = degree
-        self._entries = entries
-        if snapshot is None:
-            snapshot = [e.id for e in entries], [e.presented for e in entries]
-        self.order, self.states = snapshot
+        self.order = order
+        self.states = states
         self.ids = ids
         self.version = version
         self.memo: dict = {}
-
-    @property
-    def entries(self) -> tuple[ViewEntry, ...]:
-        entries = self._entries
-        if entries is None:
-            entries = self._entries = tuple(map(ViewEntry, self.order, self.states))
-        return entries
 
 
 class AgentSpec(NamedTuple):
@@ -319,11 +294,10 @@ class Engine:
         self.is_byz = [s.is_byzantine for s in specs]
         self.steppers = [s.stepper for s in specs]
         # Protocol: a stepper fed its node's view, in either seat.
-        # Lazy: a stepper with the next_due() and watches_view() hooks.
+        # Lazy: a protocol stepper with the wait() hook.
         # Static: a Byzantine strategy that never acts after its first step.
         self._protocol = [hasattr(s.stepper, "build_presented") for s in specs]
-        self._lazy = [hasattr(s.stepper, "next_due") and hasattr(s.stepper, "watches_view")
-                      for s in specs]
+        self._lazy = [p and hasattr(s.stepper, "wait") for p, s in zip(self._protocol, specs)]
         self._static = [s.is_byzantine and getattr(s.stepper, "static", False) for s in specs]
         self.pos = [s.start_node for s in specs]
         self.schedule = [s.wake_round for s in specs]
@@ -347,12 +321,11 @@ class Engine:
         # longer matches _due_round are stale and skipped.
         self._due: list[tuple[int, int]] = []
         self._due_round: list[int | None] = [None] * len(specs)
-        # Per lazy agent, watches_view() since its last step (None: not asked;
-        # False also while a walk leg is open).  False for every other
-        # agent and once an agent has terminated: no change wakes it.
-        self._watch: list = [None if lazy else False for lazy in self._lazy]
-        # Open walk legs, agent -> (last round, round of offset 0, offsets, wants).
-        self._legs: dict[int, tuple] = {}
+        # Per lazy agent, the predicate its last wait() answered; None for
+        # every other agent and once an agent has terminated: no change wakes it.
+        self._watch: list = [None] * len(specs)
+        # Walkers, agent -> (round of offset 0, offsets); see the module doc.
+        self._walks: dict[int, tuple] = {}
         self._dirty: set[int] = set()  # nodes changed since the last _changed()
         self._dormant = list(range(len(specs)))
         self._good_left = len(good)
@@ -366,8 +339,7 @@ class Engine:
         ids = [all_ids[j] for j in occ]
         self._vclock += 1
         view = self._view_cache[node] = ObservationView(
-            self._degree[node], None, frozenset(ids), self._vclock,
-            (ids, [presented[j] for j in occ]))
+            self._degree[node], ids, [presented[j] for j in occ], frozenset(ids), self._vclock)
         return view
 
     def _set_due(self, idx: int, r: int | None) -> None:
@@ -407,69 +379,35 @@ class Engine:
         return nxt
 
     def _changed(self) -> set[int]:
-        """Active lazy agents on nodes changed since the last call that want their new view.
+        """Active lazy agents on nodes changed since the last call whose predicate holds.
 
-        A watcher with a predicate is asked on the node's current view,
-        built at most once per node.  A leg walker's watch is False, so it
-        is left to ``_walk``.
+        Each predicate is asked on the node's current view, built at most
+        once per node; a lone walker's is not asked (the lone-view rule).
         """
         changed: set[int] = set()
-        watch = self._watch
+        watch, walks = self._watch, self._walks
         for node in self._dirty:
+            occ = self.occupants[node]
             view = None
-            for j in self.occupants[node]:
+            for j in occ:
                 w = watch[j]
-                if w is False:
+                if w is None or (len(occ) == 1 and j in walks):
                     continue
-                if w is None:
-                    w = watch[j] = self.steppers[j].watches_view()
-                if w is True:
+                if view is None:
+                    view = self.node_view(node)
+                if w(view):
                     changed.add(j)
-                elif w:
-                    if view is None:
-                        view = self.node_view(node)
-                    if w(view):
-                        changed.add(j)
         self._dirty.clear()
         return changed
 
-    def _reschedule(self, stepped: list[int], changed: set[int]) -> None:
-        """Due rounds for lazy agents stepped last round and not stepped now on a change.
-
-        An agent in ``changed`` is stepped this round anyway, and computes
-        its due round after that step; an older due entry of it can only
-        fall on a round in which it is stepped regardless.  A leg walker is
-        left to ``_walk``.
-        """
-        for idx in set(stepped).difference(changed):
-            if self.status[idx] == ACTIVE and idx not in self._legs:
-                due = self.steppers[idx].next_due()
-                self._set_due(idx, None if due is None else self._wake[idx] + due - 1)
-
-    def _open_leg(self, idx: int, leg: tuple) -> None:
-        """Hold a walker's leg in rounds; it is neither due nor watching until it ends."""
-        last, base, offsets, wants = leg
-        shift = self._wake[idx] - 1  # own count c falls in round c + shift
-        self._legs[idx] = (last + shift, base + shift, offsets, wants)
-        self._watch[idx] = False
-        self._due_round[idx] = None  # an older due entry would step it mid-leg
-
-    def _walk(self, r: int, moves: list[tuple[int, int]]) -> list[int]:
-        """Add round ``r``'s move of every leg walker to ``moves``; return
-        the walkers whose leg ends here instead, to be stepped."""
-        legs, pos, entry, occupants = self._legs, self.pos, self.entry, self.occupants
-        degree, view_cache = self._degree, self._view_cache
-        ending = []
-        for idx, (last, base, offsets, wants) in legs.items():
-            node = pos[idx]
-            if r > last or (wants is not None and len(occupants[node]) > 1
-                            and wants(view_cache[node] or self.node_view(node))):
-                ending.append(idx)
-            else:
-                moves.append((idx, exit_port(offsets[r - base], entry[idx], degree[node])))
-        for idx in ending:
-            del legs[idx]
-        return ending
+    def _walk(self, r: int, moves: list[tuple[int, int]], stepped: list[int]) -> None:
+        """Add round ``r``'s move of every walker not stepped in it to ``moves``;
+        a stepped walker stops walking."""
+        walks, pos, entry, degree = self._walks, self.pos, self.entry, self._degree
+        for idx in walks.keys() & stepped:
+            del walks[idx]
+        for idx, (base, offsets) in walks.items():
+            moves.append((idx, exit_port(offsets[r - base], entry[idx], degree[pos[idx]])))
 
     def _to_step(self, r: int, changed: set[int]) -> list[int]:
         """Active agents stepped in round ``r``, in id order."""
@@ -502,7 +440,7 @@ class Engine:
         lazy = self._lazy
         wake = self._wake
         watch = self._watch
-        legs = self._legs
+        walks = self._walks
         pos = self.pos
         entry = self.entry
         presented = self.presented
@@ -510,15 +448,12 @@ class Engine:
         view_cache = self._view_cache
         dirty = self._dirty
         pending_visit: list[int] = []
-        stepped_lazy: list[int] = []
         neighbor = self.graph.neighbor
         world = WorldView(self)
         while True:
             changed = self._changed()
-            if stepped_lazy:
-                self._reschedule(stepped_lazy, changed)
             r = self.round + 1
-            if not (changed or pending_visit or self._every or legs):
+            if not (changed or pending_visit or self._every or walks):
                 r = self._next_round(r)
             self.round = r
             if r > self.round_cap:
@@ -537,14 +472,13 @@ class Engine:
             terminations: list[int] = []
             moves: list[tuple[int, int]] = []
             pres_updates: list[tuple[int, PresentedState]] = []
-            stepped_lazy = []
-            if legs:
-                changed.update(self._walk(r, moves))
             due = self._due
             if changed or dirty or self._every or (due and due[0][0] <= r):
                 to_step = self._to_step(r, changed)
             else:
-                to_step = ()  # a round of leg moves only
+                to_step = ()  # a round of walk moves only
+            if walks:
+                self._walk(r, moves, to_step)
             for idx in to_step:
                 stepper = steppers[idx]
                 if not protocol[idx]:
@@ -554,11 +488,8 @@ class Engine:
                 else:
                     if lazy[idx]:
                         stepper.state.count = r - wake[idx]
-                        stepped_lazy.append(idx)
                     node = pos[idx]
                     action = stepper.step(view_cache[node] or self.node_view(node), entry[idx])
-                    if lazy[idx]:
-                        watch[idx] = None
                     ev = stepper.events
                     if ev:
                         if not is_byz[idx]:
@@ -576,14 +507,16 @@ class Engine:
                     entry[idx] = None
                 else:
                     moves.append((idx, action))
-                    if lazy[idx] and protocol[idx] and hasattr(stepper, "walk_leg"):
-                        leg = stepper.walk_leg()
-                        if leg is not None:
-                            self._open_leg(idx, leg)
+                if lazy[idx] and action is not TERMINATE:
+                    count, watch[idx], walk = stepper.wait()
+                    shift = wake[idx] - 1  # own count c falls in round c + shift
+                    self._set_due(idx, None if count is None else count + shift)
+                    if walk is not None and action is not None:
+                        walks[idx] = (walk[0] + shift, walk[1])
 
             for idx in terminations:
                 status[idx] = TERMINATED
-                watch[idx] = False
+                watch[idx] = None
                 if not lazy[idx]:
                     self._every.remove(idx)
                 if not is_byz[idx]:

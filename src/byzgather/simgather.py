@@ -83,25 +83,19 @@ class SimGatheringAgent(GatheringAgent):
             return None
         return action
 
-    def next_due(self) -> int | None:
+    def wait(self):
         """Like the base hook; while waiting, the first wait round and the
         count at which the flag rises on an unchanged view are due (None:
-        nothing is due until the view changes)."""
+        nothing is due until the view changes), and after the first wait
+        round only a view where ``_sees_new_triple`` holds acts."""
         if not self.sim_active:
-            return super().next_due()
+            return super().wait()
         c = self.state.count
         if c < self.r_i:
-            return c + 1
+            return c + 1, None, None
         if self.flag_t or self._sthreshold is None:
-            return None
-        return max(c + 1, self.r_i + self.X, self._sthreshold)
-
-    def watches_view(self):
-        """Like the base hook; after its first wait round a waiter answers
-        the predicate ``_sees_new_triple``, before it True."""
-        if not self.sim_active:
-            return super().watches_view()
-        return True if self._seen is None else self._sees_new_triple
+            return None, self._sees_new_triple, None
+        return max(c + 1, self.r_i + self.X, self._sthreshold), self._sees_new_triple, None
 
     def _sees_new_triple(self, view: ObservationView) -> bool:
         """False if ``view`` shows the ``simterm`` triple of the last wait

@@ -5,7 +5,7 @@ from __future__ import annotations
 import itertools
 
 from byzgather.exploration import ExplorationSequence
-from byzgather.simcore import ObservationView, PresentedState, ViewEntry
+from byzgather.simcore import ObservationView, PresentedState
 
 _VERSION = itertools.count(1)
 
@@ -19,16 +19,19 @@ def presented(**kw) -> PresentedState:
     return PresentedState(**base)
 
 
-def entry(agent_id: int, **kw) -> ViewEntry:
+def entry(agent_id: int, **kw) -> tuple[int, PresentedState]:
+    """One agent of a fabricated view: its true id and presented state."""
     kw.setdefault("il", frozenset((agent_id,)))
-    return ViewEntry(agent_id, presented(**kw))
+    return agent_id, presented(**kw)
 
 
 def view(entries=(), degree: int = 2, version: int | None = None) -> ObservationView:
-    entries = tuple(sorted(entries, key=lambda e: e.id))
+    """A view of ``entries``, (id, presented) pairs, in its id-ordered columns."""
+    entries = sorted(entries, key=lambda e: e[0])
     if version is None:
         version = next(_VERSION)
-    return ObservationView(degree, entries, frozenset(e.id for e in entries), version)
+    order = [aid for aid, _ in entries]
+    return ObservationView(degree, order, [p for _, p in entries], frozenset(order), version)
 
 
 def seq_of(offsets, bound: int) -> ExplorationSequence:
@@ -48,7 +51,7 @@ class ScriptedAgent:
         self._presented = presented_state
 
     def step(self, view_, entry_port):
-        self.seen.append((tuple(e.id for e in view_.entries), entry_port))
+        self.seen.append((tuple(view_.order), entry_port))
         action = self.actions[self.i] if self.i < len(self.actions) else None
         self.i += 1
         return action

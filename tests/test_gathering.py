@@ -19,7 +19,7 @@ from byzgather.gathering import (
     reliable_gids,
     schedule_slot,
 )
-from byzgather.simcore import TERMINATE, ViewEntry
+from byzgather.simcore import TERMINATE
 from byzgather.simgather import SimGatheringAgent
 
 
@@ -397,7 +397,7 @@ def test_main_phase_variables_frozen_during_gathering_phases():
     assert before == after
 
 
-# -- the next_due() hook ---------------------------------------------------------
+# -- the wait() hook ------------------------------------------------------------
 
 def snapshot(agent):
     """Presented state plus every field a later step reads."""
@@ -408,7 +408,8 @@ def snapshot(agent):
 
 
 def assert_idle_until_due(agent, v, fresh_views=False):
-    """Step a copy up to next_due() - 1; every step must be a no-op.
+    """Step a copy up to the count before wait()'s due one; every step must
+    be a no-op, but for exactly the move of the walk, where one is named.
 
     The copy sees the view ``v`` of the agent's last step throughout, or,
     with ``fresh_views``, a different view every round.  Returns the due
@@ -416,7 +417,7 @@ def assert_idle_until_due(agent, v, fresh_views=False):
     """
     agent.events.clear()
     agent.presented_dirty = False
-    due = agent.next_due()
+    due, _, walk = agent.wait()
     assert due > agent.state.count
     twin = copy.deepcopy(agent)
     before = snapshot(twin)
@@ -426,7 +427,11 @@ def assert_idle_until_due(agent, v, fresh_views=False):
             v = view([entry(agent.state.id),
                       entry(other, sta="S_G_WG", end_ci=True, in_mgst=True, estf=0, tar=3, gid=2)],
                      degree=3)
-        assert twin.step(v, None) is None
+        move = None
+        if walk is not None:
+            base, offsets = walk
+            move = exit_port(offsets[twin.state.count + 1 - base], 2, v.degree)
+        assert twin.step(v, 2) == move
         assert twin.events == []
         assert not twin.presented_dirty
         assert snapshot(twin) == before
@@ -519,7 +524,7 @@ REL = {(3, 51), (3, 52)}
 
 # stage -> (builder, phase round the agent is due at next; "1": the next phase's first)
 HOOK_STAGES = {
-    "walk": (stage_walk, None),
+    "walk": (stage_walk, "1"),
     "cist-bit0": (stage_cist(0), "P"),
     "cist-bit1": (stage_cist(1), "X+1"),
     "mgst-target": (stage_mgst(5), "P"),
@@ -542,9 +547,6 @@ def test_next_due_skips_only_idle_counts(stage):
     agent, v = build()
     due, _ = assert_idle_until_due(agent, v)
     X, P = agent.X, agent.P
-    if due_at is None:
-        assert due == agent.state.count + 1
-        return
     pos = schedule_slot(due, X, P)
     assert pos is not None and pos[1] == {"1": 1, "X+1": X + 1, "P": P}[due_at]
 
@@ -564,11 +566,10 @@ def test_next_due_is_a_count_that_acts(stage):
             or (twin._look, twin._watch, twin._end) != plan)
 
 
-# The initial walk watches nothing: each of its counts is due, and the
-# engine runs the moves in between as a walk leg.  No stage answers True;
-# a watcher (a waiting id collector, a target, a searcher that found its
-# target, a waiting group member) answers the predicate under which its
-# watch acts.
+# The initial walk watches nothing: it names a walk up to count X, which
+# the engine moves.  A watcher (a waiting id collector, a target, a
+# searcher that found its target, a waiting group member) answers as
+# ``wants`` the predicate under which its watch acts.
 PREDICATE = {"cist-bit0", "mgst-target", "mgst-found", "gst1-waiting"}
 
 
@@ -576,11 +577,11 @@ PREDICATE = {"cist-bit0", "mgst-target", "mgst-found", "gst1-waiting"}
 def test_watches_view_only_where_a_step_reads_it(stage):
     # A stage that does not watch ignores every view until its due count.
     agent, v = HOOK_STAGES[stage][0]()
-    answer = agent.watches_view()
+    wants = agent.wait()[1]
     if stage in PREDICATE:
-        assert callable(answer) and not answer(v)
+        assert callable(wants) and not wants(v)
     else:
-        assert answer is False
+        assert wants is None
         assert_idle_until_due(agent, v, fresh_views=True)
 
 
@@ -588,7 +589,7 @@ def assert_watch_wants(agent, quiet, acting):
     """The watcher's predicate is False on each ``quiet`` view, where every
     step up to the due count is idle (``gef`` included), and holds on each
     ``acting`` view, where the next step acts."""
-    wants = agent.watches_view()
+    wants = agent.wait()[1]
     assert callable(wants)
     for v in quiet:
         assert not wants(v)
@@ -627,7 +628,7 @@ def test_found_target_watch_wants_only_a_suspect_target_or_consensus():
     quiet = [view([entry(8), target]),
              view([entry(8), target, entry(30), mgst_peer(40, 0, 9)])]  # the same vote, no group
     acting = [view([entry(8)]),  # the target left
-              view([entry(8), target._replace(presented=target.presented._replace(tar=30))]),
+              view([entry(8), (3, target[1]._replace(tar=30))]),
               view([entry(8), target] + [mgst_peer(50 + i, 1, 9) for i in range(3)]),  # vote 1
               view([entry(8), target] + [mgst_peer(50 + i, 0, 3) for i in range(3)])]  # group
     assert_watch_wants(agent, quiet, acting)
@@ -661,11 +662,11 @@ def test_id_collector_skips_the_rendezvous_phases_that_plan_nothing(cls):
         agent.step(v, None)
     X, P = agent.X, agent.P
     assert schedule_slot(agent.state.count, X, P) == (0, P) and not agent.state.end_ci
-    assert agent.watches_view() is False
+    assert agent.wait()[1:] == (None, None)
     due, twin = assert_idle_until_due(agent, v, fresh_views=True)
     assert due == agent.state.count + 1 + 2 * P
     assert schedule_slot(due, X, P) == (0, 1)
-    assert twin.watches_view() is False
+    assert twin.wait()[1:] == (None, None)
     twin.step(v, None)
     assert twin._end == twin._end_main_phase
 
@@ -673,7 +674,7 @@ def test_id_collector_skips_the_rendezvous_phases_that_plan_nothing(cls):
 def test_waiting_id_collector_wants_only_views_with_an_unknown_id():
     # It knows 5 and 9; a view of known ids only is stepped on idly.
     agent, _ = HOOK_STAGES["cist-bit0"][0]()
-    wants = agent.watches_view()
+    wants = agent.wait()[1]
     gone = view([entry(5)], degree=2)
     restyled = view([entry(5), entry(9, sta="S_MG_TA", end_ci=True, in_mgst=True, estf=1, tar=9)],
                     degree=2)
@@ -686,40 +687,40 @@ def test_waiting_id_collector_wants_only_views_with_an_unknown_id():
     assert agent.presented_dirty and agent.state.il == {5, 9, 12}
 
 
-# -- walk legs ---------------------------------------------------------------------
+# -- walks ---------------------------------------------------------------------------
 
-LEG_OFFSETS = (1, 2, 0, 2)  # X = 4: a window walks in rp 5..8, its leg is rp 6..8
+LEG_OFFSETS = (1, 2, 0, 2)  # X = 4: a window walks in rp 5..8, the engine moves rp 6..8
 
 
 def lone(agent, degree=3):
     """The view of a walker alone on its node: itself, as it presents itself."""
-    return view([ViewEntry(agent.state.id, agent.build_presented())], degree=degree)
+    return view([(agent.state.id, agent.build_presented())], degree=degree)
 
 
 def into_leg(agent, v):
-    """Step on ``v`` through the walk window's first move; return the leg
-    the agent then answers, with its events and presented update drained."""
+    """Step on ``v`` through the walk window's first move; return what
+    wait() then answers, with the events and presented update drained."""
     for _ in range(agent.P):
         if agent.step(v, 2) is not None:
             break
     agent.events.clear()
     agent.presented_dirty = False
-    leg = agent.walk_leg()
+    leg = agent.wait()
     X, P = agent.X, agent.P
     assert schedule_slot(agent.state.count, X, P)[1] == X + 1
-    assert schedule_slot(leg[0], X, P)[1] == 2 * X  # rp 2X+1 stays a due step
+    assert schedule_slot(leg[0], X, P)[1] == 2 * X + 1  # where _hunt blacklists
     return leg
 
 
 def assert_leg_moves_until(agent, leg, quiet, meeting):
-    """The leg's predicate is False on the lone view and on each ``quiet``
-    view, where every count of the leg is a move through ``exit_port``
-    that logs no event, leaves ``presented_dirty`` unset and changes no
-    state; it holds on ``meeting``, where the step acts otherwise."""
-    last, base, offsets, wants = leg
+    """The walk's predicate is False on the lone view and on each ``quiet``
+    view, where every count before the due one is a move through
+    ``exit_port`` that logs no event, leaves ``presented_dirty`` unset and
+    changes no state; it holds on ``meeting``, where the step acts otherwise."""
+    due, wants, (base, offsets) = leg
     for v in (lone(agent), *quiet):
         assert not wants(v)
-        for count in range(agent.state.count + 1, last + 1):
+        for count in range(agent.state.count + 1, due):
             twin = copy.deepcopy(agent)
             before = snapshot(twin)
             twin.state.count = count - 1
@@ -738,7 +739,7 @@ def assert_leg_moves_until(agent, leg, quiet, meeting):
 def test_initial_walk_is_one_leg_with_no_predicate():
     agent = fresh_agent(offsets=LEG_OFFSETS)
     agent.step(lone(agent), None)
-    assert agent.walk_leg() == (agent.X, 1, LEG_OFFSETS, None)
+    assert agent.wait() == (agent.X + 1, None, (1, LEG_OFFSETS))
 
 
 def test_id_collection_leg_acts_only_on_an_unknown_id():

@@ -7,7 +7,7 @@ from conftest import ScriptedAgent, presented
 
 from byzgather.portgraph import GraphFamily, build, generate
 from byzgather.gathering import schedule_slot
-from byzgather.simcore import TERMINATE, AgentSpec, Engine, ViewEntry, initial_presented
+from byzgather.simcore import TERMINATE, AgentSpec, Engine, initial_presented
 
 
 def two_node():
@@ -131,8 +131,8 @@ def test_byzantine_presented_keeps_true_id():
 
 
 class _HaltingProtocolStepper:
-    """A protocol stepper with the hooks: due every third count, logs each
-    step, halts at count 10."""
+    """A protocol stepper with the wait() hook: due every third count,
+    logs each step, halts at count 10."""
 
     def __init__(self):
         self.state = type("S", (), {"count": 0})()
@@ -147,11 +147,8 @@ class _HaltingProtocolStepper:
         self.events.append(("tick", self.state.count))
         return TERMINATE if self.state.count == 10 else None
 
-    def next_due(self):
-        return self.state.count + 3
-
-    def watches_view(self):
-        return False
+    def wait(self):
+        return self.state.count + 3, None, None
 
     def build_presented(self):
         return presented(terminated=self.terminated)
@@ -163,7 +160,7 @@ def test_a_protocol_stepper_is_driven_alike_in_either_seat(faulty):
     # events and its termination count.
     class Watcher(ScriptedAgent):
         def step(self, view_, entry_port):
-            self.shown.append({e.id: e.presented for e in view_.entries})
+            self.shown.append(dict(zip(view_.order, view_.states)))
             return super().step(view_, entry_port)
 
     g = two_node()
@@ -186,8 +183,8 @@ def test_a_protocol_stepper_is_driven_alike_in_either_seat(faulty):
 
 
 class _PredicateWatcher:
-    """A protocol stepper with the hooks: never due again after its wake
-    round, it wants a changed view only while agent 2 stands on it."""
+    """A protocol stepper with the wait() hook: never due again after its
+    wake round, it wants a changed view only while agent 2 stands on it."""
 
     def __init__(self):
         self.state = type("S", (), {"count": 0})()
@@ -201,11 +198,8 @@ class _PredicateWatcher:
         self.stepped.append((self.state.count, 2 in view_.ids))
         return None
 
-    def next_due(self):
-        return None
-
-    def watches_view(self):
-        return lambda view_: 2 in view_.ids
+    def wait(self):
+        return None, lambda view_: 2 in view_.ids, None
 
     def build_presented(self):
         return presented(terminated=self.terminated)
@@ -223,6 +217,41 @@ def test_a_predicate_watcher_is_stepped_only_where_its_predicate_holds():
     # Wake round 1 is due; after it, every round that shows the walker.
     assert watcher.stepped == [(1, False)] + [(r, True) for r in present]
     assert watcher.state.count == 12
+
+
+class _LoneWatcher:
+    """A protocol stepper with the wait() hook: never due again after its
+    wake round, it raises its flag in that step and wants every view that
+    shows a raised flag, its own included."""
+
+    def __init__(self):
+        self.state = type("S", (), {"count": 0})()
+        self.events = []
+        self.presented_dirty = False
+        self.terminated = False
+        self.stepped = []
+
+    def step(self, view_, entry_port):
+        self.state.count += 1
+        self.stepped.append(self.state.count)
+        self.presented_dirty = self.state.count == 1
+        return None
+
+    def wait(self):
+        return None, lambda view_: any(p.flag_t for p in view_.states), None
+
+    def build_presented(self):
+        return presented(flag_t=True, terminated=self.terminated)
+
+
+def test_a_lone_watcher_is_asked_on_its_own_changed_view():
+    # Only a walker's predicate is taken to be False on a view that shows
+    # the walker alone; a watcher's may hold there (a lone target's vote).
+    watcher = _LoneWatcher()
+    Engine(two_node(), [AgentSpec(1, False, watcher, 0, 1)], round_cap=5).run()
+    # Its flag changes its node once, after the wake round.
+    assert watcher.stepped == [1, 2]
+    assert watcher.state.count == 5
 
 
 class _IdsReader:
@@ -244,34 +273,23 @@ class _IdsReader:
         return presented(sta="S_G_WG", terminated=self.terminated)
 
 
-def test_view_entries_are_built_lazily_from_a_snapshot(monkeypatch):
-    from byzgather import simcore
-
-    built = []
-
-    def counting_entry(aid, state):
-        built.append(aid)
-        return ViewEntry(aid, state)
-
-    monkeypatch.setattr(simcore, "ViewEntry", counting_entry)
+def test_a_kept_view_shows_its_build_time_columns_in_id_order():
     g = two_node()
     readers = {aid: _IdsReader() for aid in (7, 3, 5)}
     engine = Engine(g, [AgentSpec(aid, False, r, 0, 1) for aid, r in readers.items()],
                     round_cap=10)
     trace = engine.run()
+    # Readers of ids alone are driven like any other protocol stepper.
     assert trace.termination == {aid: (3, 0) for aid in readers}
-    # Views only read for ids never built their entries.
-    assert built == []
     # A view kept across a presented update shows the states it was taken with.
     first, ids = readers[3].views[0]
     assert ids == {3, 5, 7}
-    assert first.entries == tuple(ViewEntry(aid, initial_presented(aid)) for aid in (3, 5, 7))
-    assert built == [3, 5, 7]
-    # Entries equal the eager tuple: sorted by true id, terminated agents included.
+    assert first.order == [3, 5, 7]
+    assert first.states == [initial_presented(aid) for aid in (3, 5, 7)]
+    # The columns are sorted by true id, terminated agents included.
     last = engine.node_view(0)
-    assert last.entries == tuple(ViewEntry(aid, presented(sta="S_G_WG", terminated=True))
-                                 for aid in (3, 5, 7))
-    assert last.entries is last.entries  # built once
+    assert last.order == [3, 5, 7]
+    assert last.states == [presented(sta="S_G_WG", terminated=True)] * 3
 
 
 def test_run_is_deterministic_by_export():
@@ -563,9 +581,23 @@ def _walker_cells():
     return [cfg for cfg in baseline_matrix() if cfg.n == 10]
 
 
+def _single_node_cells():
+    # n = 1: the one node has degree 0, so a step that wait() answers with a
+    # walk did not move, and the engine must not make that walk.  (Seeds 0
+    # and 2 of this cell differ between lazy and every-round stepping by
+    # the known lazy lure inexactness, see ROADMAP item 3.)
+    from byzgather.harness import parse_matrix_text
+
+    return [cfg for variant in ("NS", "SIM") for cfg in parse_matrix_text(
+        f"variant = {variant}\nn = 1\nN = 3\nfamilies = path\nf = 1\n"
+        "strategies = lure\nwake_policies = adversarial_stagger\nseeds = 1")]
+
+
 HOOK_CELLS = _hook_cells()
 WIDE_CELLS = _wide_cells()
 WALKER_CELLS = _walker_cells()
+SINGLE_NODE_CELLS = _single_node_cells()
+LAZY_CELLS = HOOK_CELLS + WIDE_CELLS + WALKER_CELLS + SINGLE_NODE_CELLS
 
 
 def test_hook_cells_cover_both_variants_and_every_strategy():
@@ -588,10 +620,9 @@ def test_walker_cells_are_the_n10_baseline_cells_of_every_family():
     assert {(c.variant, c.f, len(c.ids), c.N) for c in WALKER_CELLS} == {("NS", 0, 4, 10)}
 
 
-@pytest.mark.parametrize("cfg", HOOK_CELLS + WIDE_CELLS + WALKER_CELLS,
-                         ids=[c.scenario_id for c in HOOK_CELLS + WIDE_CELLS + WALKER_CELLS])
+@pytest.mark.parametrize("cfg", LAZY_CELLS, ids=[c.scenario_id for c in LAZY_CELLS])
 def test_lazy_stepping_matches_stepping_every_round(cfg, monkeypatch):
-    # next_due() and watches_view() may only skip steps that change nothing.
+    # wait() may only skip steps that change nothing.
     from byzgather import harness
 
     _, lazy = harness.run_scenario(cfg)
@@ -600,27 +631,30 @@ def test_lazy_stepping_matches_stepping_every_round(cfg, monkeypatch):
     assert harness.export_trace_text(lazy, cfg) == harness.export_trace_text(eager, cfg)
 
 
-# Good step() calls on the NS k = 38 estf_liar cell, as measured with
-# every watcher answering a predicate and the rendezvous phases before
-# the end of id collection skipped (9,788 when each watcher answered True
-# and every phase's first round was due).  Step counts repeat exactly, so
-# a lost skip fails here in seconds.
-GUARD_STEPS = 2_596
+# Outermost step() calls of the good agents on the k = 38 estf_liar cell,
+# as measured with every watcher answering a predicate and the rendezvous
+# phases before the end of id collection skipped: 2,596 on the NS cell
+# (9,788 when each watcher answered True and every phase's first round was
+# due), 2,705 SimGatheringAgent.step calls on the SIM cell.  Step counts
+# repeat exactly, so a lost skip fails here in seconds.
+GUARD_STEPS = {"NS": 2_596, "SIM": 2_705}
 
 
-def test_good_step_calls_stay_within_the_guard(monkeypatch):
-    from byzgather import gathering, harness
+@pytest.mark.parametrize("variant", sorted(GUARD_STEPS))
+def test_good_step_calls_stay_within_the_guard(variant, monkeypatch):
+    from byzgather import gathering, harness, simgather
 
     calls = 0
-    step = gathering.GatheringAgent.step
+    cls = gathering.GatheringAgent if variant == "NS" else simgather.SimGatheringAgent
+    step = cls.step
 
     def counting(self, view_, entry_port):
         nonlocal calls
         calls += 1
         return step(self, view_, entry_port)
 
-    monkeypatch.setattr(gathering.GatheringAgent, "step", counting)
-    cfg = next(c for c in WIDE_CELLS if c.variant == "NS" and c.strategy == "estf_liar")
+    monkeypatch.setattr(cls, "step", counting)
+    cfg = next(c for c in WIDE_CELLS if c.variant == variant and c.strategy == "estf_liar")
     verdict, _ = harness.run_scenario(cfg)
     assert verdict.ok
-    assert calls <= GUARD_STEPS
+    assert calls <= GUARD_STEPS[variant]

@@ -133,7 +133,7 @@ def test_sim_agent_enters_checking_mode_instead_of_terminating():
     assert agent.sim_active
     assert agent.r_i == agent.state.count + 1
     assert ("sim_mode", agent.r_i) in agent.events
-    assert agent.next_due() == agent.r_i  # the first wait round is always stepped
+    assert agent.wait() == (agent.r_i, None, None)  # the first wait round is always stepped
 
 
 def test_next_due_while_waiting_is_the_flag_round():
@@ -145,7 +145,8 @@ def test_next_due_while_waiting_is_the_flag_round():
     v = view([own_entry(agent)])
     agent.step(v, None)
     agent.events.clear()
-    due = agent.next_due()
+    due, wants, walk = agent.wait()
+    assert walk is None
     assert due == max(agent.r_i + x_n, termination_threshold(x_n, 5))
     twin = copy.deepcopy(agent)
     before = twin.build_presented()
@@ -156,7 +157,6 @@ def test_next_due_while_waiting_is_the_flag_round():
     # After a wait round only a new (gef, flags, idm) triple wakes it: a
     # newcomer that keeps the vote, the flag count and the trusted maximum
     # does not, one that raises a flag or the maximum does.
-    wants = agent.watches_view()
     keeps = view([own_entry(agent), entry(4, estf=0, il={4})])
     assert callable(wants) and not wants(v) and not wants(keeps)
     quiet = copy.deepcopy(agent)
@@ -168,4 +168,4 @@ def test_next_due_while_waiting_is_the_flag_round():
     twin.step(v, None)
     assert twin.flag_t and twin.presented_dirty
     twin.presented_dirty = False
-    assert twin.next_due() is None  # raised: only a changed view matters now
+    assert twin.wait()[0] is None  # raised: only a changed view matters now
