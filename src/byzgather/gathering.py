@@ -26,6 +26,7 @@ from .simcore import (
     TERMINATE,
     ObservationView,
     PresentedState,
+    UnknownId,
 )
 
 
@@ -263,20 +264,17 @@ class GatheringAgent:
 
     def _wants(self, part):
         """The predicate that holds wherever plan part ``part``, a look or a
-        watch, may act on a view.  ``_waiting_group_here`` is pure, so it
-        is its own."""
-        return (self._meets_new_ids if part == self._record_ids
+        watch, may act on a view.  ``_record_ids`` acts only on an id
+        outside ``il`` (the walker's own id is always in it), so it is
+        watched through an ``UnknownId`` on the live ``il``, which the
+        engine drops once ``il`` holds every id.  ``_waiting_group_here``
+        is pure, so it is its own."""
+        return (UnknownId(self.state.il) if part == self._record_ids
                 else self._meets_new_pairs if part == self._record_pairs
                 else self._meets_target if part == self._hunt
                 else self._consensus_acts if part == self._consensus
                 else self._watch_target_acts if part == self._watch_target
                 else part)
-
-    def _meets_new_ids(self, view: ObservationView) -> bool:
-        """False if ``_record_ids`` would find nothing new in ``view``: it
-        then only compares, so the step is idle.  The walker's own id is
-        always in ``il``."""
-        return not view.ids <= self.state.il
 
     def _walk_move(self, view: ObservationView, entry_port: int | None, i: int):
         d = view.degree

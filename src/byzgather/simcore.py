@@ -13,18 +13,30 @@ must be stepped (None: none is), ``wants(view)`` the predicate under
 which an earlier changed view acts (None: none does), and ``walk =
 (base, offsets)`` the moves it makes until then.  Each lazy agent has one
 record: its due round in a heap, its predicate, asked once per change of
-its node, and, after a step that moved and named a walk, an entry in the
+its node and once on the end-of-round view after a step that did not
+move, and, after a step that moved and named a walk, an entry in the
 walks.  The engine moves a walker itself, with no ``step()`` call, each
 own count c through ``exit_port(offsets[c - base], entry, degree)``,
 until its due round or until ``wants`` holds.  A walker's node changes
 every round, so its predicate is asked every round; by the lone-view
 rule it is False on a view that shows only the walker, so a lone walker
 costs one move per round and no view.  The rule is for walkers only: a
-watcher's predicate may hold on its own changed view.  A Byzantine
-strategy with ``static = True`` is stepped once, in its wake round.
-Every other stepper is stepped every round.  When a round changes
-nothing, no every-round stepper is active and nobody walks, the engine
-jumps straight to the next due round or scheduled wake.
+watcher's predicate may hold on its own changed view.  An id
+collector's predicate is an ``UnknownId``; once its known ids hold every
+id of the run it can never hold, and the engine stores None instead (the
+id horizon).  A Byzantine strategy with ``static = True`` is stepped
+once, in its wake round.  Every other stepper is stepped every round.
+
+When a round changes nothing and no every-round stepper is active, the
+engine skips ahead to the next due round or scheduled wake (or past the
+round cap): at once if nobody walks, and if nobody is dormant and no
+active agent holds a predicate, after moving each walker through the
+skipped rounds in one pass, logging every move; no walker can then meet
+an agent that acts.  Walk moves land through a neighbour table built
+once per engine; a stepped move goes through ``PortGraph.neighbor``,
+which checks its port.  Lazy stepping is exact: a run exports the same
+trace as one that steps every agent in every round, which the tests
+check on pinned acceptance cells and on random small worlds.
 
 A view costs what its readers use: its ``ids`` and its two columns,
 ``order`` (true ids in id order) and ``states`` (their presented
@@ -125,6 +137,24 @@ class ObservationView:
         self.ids = ids
         self.version = version
         self.memo: dict = {}
+
+
+class UnknownId:
+    """Watch predicate of an id collector: the view shows an id outside ``known``.
+
+    ``known`` is the collector's live id set.  A view's ``ids`` are
+    engine-held true ids and ``known`` grows only in the collector's own
+    step, so once it holds every id of the run the predicate is False on
+    every view the run can build, and the engine drops it (the id horizon).
+    """
+
+    __slots__ = ("known",)
+
+    def __init__(self, known):
+        self.known = known
+
+    def __call__(self, view: ObservationView) -> bool:
+        return not view.ids <= self.known
 
 
 class AgentSpec(NamedTuple):
@@ -306,9 +336,13 @@ class Engine:
         self.presented: list[PresentedState | None] = [None] * len(specs)
         self.occupants: list[list[int]] = [[] for _ in range(graph.node_count)]
         self._degree = [graph.degree(v) for v in range(graph.node_count)]
+        # Per node, (far node, entry port) per port: where walk moves land.
+        self._nbr = [[graph.neighbor(v, p) for p in range(1, d + 1)]
+                     for v, d in enumerate(self._degree)]
         # A view's version is drawn from one clock when it is built, so a
         # version never repeats across nodes.  A node's cached view is
-        # dropped where the node enters the dirty set.
+        # dropped where its composition or an occupant's presented state
+        # changes.
         self._vclock = 0
         self._view_cache: list[ObservationView | None] = [None] * graph.node_count
         self.round = 0
@@ -329,6 +363,7 @@ class Engine:
         self._dirty: set[int] = set()  # nodes changed since the last _changed()
         self._dormant = list(range(len(specs)))
         self._good_left = len(good)
+        self.rounds_processed = 0  # rounds the round loop ran for
 
     def node_view(self, node: int) -> ObservationView:
         view = self._view_cache[node]
@@ -400,14 +435,35 @@ class Engine:
         self._dirty.clear()
         return changed
 
-    def _walk(self, r: int, moves: list[tuple[int, int]], stepped: list[int]) -> None:
+    def _walk(self, r: int, moves: list[tuple[int, int, int]], stepped: list[int]) -> None:
         """Add round ``r``'s move of every walker not stepped in it to ``moves``;
         a stepped walker stops walking."""
-        walks, pos, entry, degree = self._walks, self.pos, self.entry, self._degree
+        walks, pos, entry, degree, nbr = self._walks, self.pos, self.entry, self._degree, self._nbr
         for idx in walks.keys() & stepped:
             del walks[idx]
         for idx, (base, offsets) in walks.items():
-            moves.append((idx, exit_port(offsets[r - base], entry[idx], degree[pos[idx]])))
+            v = pos[idx]
+            u, q = nbr[v][exit_port(offsets[r - base], entry[idx], degree[v]) - 1]
+            moves.append((idx, u, q))
+
+    def _walk_ahead(self, r: int, nxt: int) -> None:
+        """Move every walker through rounds ``r..nxt-1``, in which nobody
+        else acts, and log each move; occupants, position, entry port and
+        view cache are updated once per walker."""
+        pos, entry, degree, nbr = self.pos, self.entry, self._degree, self._nbr
+        occupants, view_cache, log = self.occupants, self._view_cache, self.trace.position_log
+        for idx, (base, offsets) in self._walks.items():
+            start = v = pos[idx]
+            q = entry[idx]
+            path = log[self.ids[idx]]
+            for t in range(r, nxt):
+                v, q = nbr[v][exit_port(offsets[t - base], q, degree[v]) - 1]
+                path.append((t + 1, v))
+            occupants[start].remove(idx)
+            insort(occupants[v], idx)
+            view_cache[start] = view_cache[v] = None
+            pos[idx] = v
+            entry[idx] = q
 
     def _to_step(self, r: int, changed: set[int]) -> list[int]:
         """Active agents stepped in round ``r``, in id order."""
@@ -449,16 +505,25 @@ class Engine:
         dirty = self._dirty
         pending_visit: list[int] = []
         neighbor = self.graph.neighbor
+        all_ids = frozenset(ids)
         world = WorldView(self)
         while True:
             changed = self._changed()
             r = self.round + 1
-            if not (changed or pending_visit or self._every or walks):
-                r = self._next_round(r)
+            if not (changed or pending_visit or self._every):
+                if not walks:
+                    r = self._next_round(r)
+                elif not (self._dormant or any(watch)):
+                    # Until the next due round only the walkers act.
+                    nxt = self._next_round(r)
+                    if nxt > r:
+                        self._walk_ahead(r, nxt)
+                        r = nxt
             self.round = r
             if r > self.round_cap:
                 trace.capped = True
                 return self._finish(r - 1)
+            self.rounds_processed += 1
 
             if self._dormant:
                 for idx in list(self._dormant):
@@ -470,7 +535,7 @@ class Engine:
                 pending_visit = []
 
             terminations: list[int] = []
-            moves: list[tuple[int, int]] = []
+            moves: list[tuple[int, int, int]] = []  # (agent, far node, entry port)
             pres_updates: list[tuple[int, PresentedState]] = []
             due = self._due
             if changed or dirty or self._every or (due and due[0][0] <= r):
@@ -506,12 +571,21 @@ class Engine:
                     terminations.append(idx)
                     entry[idx] = None
                 else:
-                    moves.append((idx, action))
+                    u, q = neighbor(pos[idx], action)
+                    moves.append((idx, u, q))
                 if lazy[idx] and action is not TERMINATE:
-                    count, watch[idx], walk = stepper.wait()
+                    count, wants, walk = stepper.wait()
+                    if isinstance(wants, UnknownId) and all_ids <= wants.known:
+                        wants = None  # the id horizon
+                    watch[idx] = wants
                     shift = wake[idx] - 1  # own count c falls in round c + shift
                     self._set_due(idx, None if count is None else count + shift)
-                    if walk is not None and action is not None:
+                    if action is None:
+                        if wants is not None:
+                            # Ask the new predicate on the end-of-round view,
+                            # even where nothing on the node changes.
+                            dirty.add(pos[idx])
+                    elif walk is not None:
                         walks[idx] = (walk[0] + shift, walk[1])
 
             for idx in terminations:
@@ -526,9 +600,8 @@ class Engine:
                 stepper.terminated = True
                 pres_updates.append((idx, stepper.build_presented()))
 
-            for idx, port in moves:
+            for idx, u, q in moves:
                 old = pos[idx]
-                u, q = neighbor(old, port)
                 occupants[old].remove(idx)
                 insort(occupants[u], idx)
                 dirty.add(old)

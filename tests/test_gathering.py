@@ -19,7 +19,7 @@ from byzgather.gathering import (
     reliable_gids,
     schedule_slot,
 )
-from byzgather.simcore import TERMINATE
+from byzgather.simcore import TERMINATE, UnknownId
 from byzgather.simgather import SimGatheringAgent
 
 
@@ -672,9 +672,12 @@ def test_id_collector_skips_the_rendezvous_phases_that_plan_nothing(cls):
 
 
 def test_waiting_id_collector_wants_only_views_with_an_unknown_id():
-    # It knows 5 and 9; a view of known ids only is stepped on idly.
+    # It knows 5 and 9; a view of known ids only is stepped on idly.  The
+    # predicate reads the live il, which the engine compares with the
+    # run's ids (the id horizon).
     agent, _ = HOOK_STAGES["cist-bit0"][0]()
     wants = agent.wait()[1]
+    assert isinstance(wants, UnknownId) and wants.known is agent.state.il
     gone = view([entry(5)], degree=2)
     restyled = view([entry(5), entry(9, sta="S_MG_TA", end_ci=True, in_mgst=True, estf=1, tar=9)],
                     degree=2)

@@ -4,10 +4,12 @@ import weakref
 
 import pytest
 from conftest import ScriptedAgent, presented
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from byzgather.portgraph import GraphFamily, build, generate
+from byzgather.portgraph import GraphFamily, PortOutOfRange, build, generate
 from byzgather.gathering import schedule_slot
-from byzgather.simcore import TERMINATE, AgentSpec, Engine, initial_presented
+from byzgather.simcore import TERMINATE, AgentSpec, Engine, UnknownId, initial_presented
 
 
 def two_node():
@@ -221,8 +223,8 @@ def test_a_predicate_watcher_is_stepped_only_where_its_predicate_holds():
 
 class _LoneWatcher:
     """A protocol stepper with the wait() hook: never due again after its
-    wake round, it raises its flag in that step and wants every view that
-    shows a raised flag, its own included."""
+    wake round, it raises its flag in that step and wants a view that
+    shows a raised flag, its own included, until a step has noted one."""
 
     def __init__(self):
         self.state = type("S", (), {"count": 0})()
@@ -230,15 +232,17 @@ class _LoneWatcher:
         self.presented_dirty = False
         self.terminated = False
         self.stepped = []
+        self.noted = False
 
     def step(self, view_, entry_port):
         self.state.count += 1
         self.stepped.append(self.state.count)
         self.presented_dirty = self.state.count == 1
+        self.noted = any(p.flag_t for p in view_.states)
         return None
 
     def wait(self):
-        return None, lambda view_: any(p.flag_t for p in view_.states), None
+        return None, lambda view_: not self.noted and any(p.flag_t for p in view_.states), None
 
     def build_presented(self):
         return presented(flag_t=True, terminated=self.terminated)
@@ -249,9 +253,67 @@ def test_a_lone_watcher_is_asked_on_its_own_changed_view():
     # the walker alone; a watcher's may hold there (a lone target's vote).
     watcher = _LoneWatcher()
     Engine(two_node(), [AgentSpec(1, False, watcher, 0, 1)], round_cap=5).run()
-    # Its flag changes its node once, after the wake round.
+    # Its flag changes its node once, after the wake round; the step that
+    # notes it leaves a predicate that no later view satisfies.
     assert watcher.stepped == [1, 2]
     assert watcher.state.count == 5
+
+
+class _CountedUnknownId(UnknownId):
+    """An ``UnknownId`` that logs each ask in ``asked``."""
+
+    def __init__(self, known, asked):
+        super().__init__(known)
+        self.asked = asked
+
+    def __call__(self, view_):
+        self.asked.append(sorted(view_.ids))
+        return super().__call__(view_)
+
+
+class _IdWatcher:
+    """A protocol stepper with the wait() hook: never due again after its
+    wake round, it collects the ids it sees and watches for an unknown one."""
+
+    def __init__(self, known):
+        self.state = type("S", (), {"count": 0})()
+        self.events = []
+        self.presented_dirty = False
+        self.terminated = False
+        self.known = set(known)
+        self.stepped = []
+        self.asked = []
+
+    def step(self, view_, entry_port):
+        self.state.count += 1
+        self.stepped.append(self.state.count)
+        self.known |= view_.ids
+        return None
+
+    def wait(self):
+        return None, _CountedUnknownId(self.known, self.asked), None
+
+    def build_presented(self):
+        return presented(terminated=self.terminated)
+
+
+@pytest.mark.parametrize("known", [{1, 2}, {1}], ids=["knows-every-id", "one-id-left"])
+def test_an_id_watcher_is_asked_only_while_an_id_is_unknown(known):
+    # Agent 2 bounces between the nodes, so the watcher's node changes
+    # every round.  Once the watcher knows every id in the run, no view
+    # can show it an unknown one, and its predicate is never asked.
+    watcher = _IdWatcher(known)
+    Engine(two_node(), [AgentSpec(1, False, watcher, 0, 1),
+                        AgentSpec(2, False, ScriptedAgent([1] * 9), 1, 1)], round_cap=10).run()
+    if known == {1, 2}:
+        assert watcher.asked == []
+        assert watcher.stepped == [1]
+    else:
+        # Asked on the end-of-round-1 view, where agent 2 has arrived; the
+        # step that learns id 2 reaches the horizon.
+        assert watcher.asked == [[1, 2]]
+        assert watcher.stepped == [1, 2]
+    assert watcher.known == {1, 2}
 
 
 class _IdsReader:
@@ -369,6 +431,39 @@ def test_lazy_stepper_skips_idle_rounds_but_keeps_its_clock():
     assert not set(range(2, X + 1)) & set(stepped)
     assert len(stepped) < 66 // 2  # stepping every walk count took 66 steps
     assert agent.state.count == 400
+
+
+def test_a_predicate_free_walk_fast_forwards_to_the_next_due_round():
+    # A lone agent knows every id in the run, so it never holds a
+    # predicate, and each of its walks is moved in one pass up to its due
+    # round: the engine runs only the rounds in which the agent is stepped.
+    from byzgather.exploration import build_sequence
+    from byzgather.gathering import GatheringAgent
+
+    class Counting(GatheringAgent):
+        def step(self, view, entry_port):
+            stepped.append(self.state.count + 1)
+            return super().step(view, entry_port)
+
+    stepped = []
+    g = build(4, [(0, 1), (1, 2), (1, 3)])
+    seq = build_sequence(4, 0, [g])
+    engine = Engine(g, [AgentSpec(1, False, Counting(1, seq), 2, 1)], round_cap=700)
+    lazy = engine.run()
+    eager = _EagerEngine(g, [AgentSpec(1, False, GatheringAgent(1, seq), 2, 1)],
+                         round_cap=700).run()
+    assert lazy.position_log == eager.position_log
+    assert lazy.rounds == eager.rounds == 700
+    # The initial walk and the first main phase's walk (label bit 1).
+    assert len(lazy.position_log[1]) == 1 + 2 * seq.length
+    assert engine.rounds_processed == len(stepped) < 700 // 50
+
+
+def test_a_stepped_move_through_a_missing_port_raises():
+    # Walk moves are looked up in the engine's neighbour table; a port
+    # that a stepper names still goes through the graph's range check.
+    with pytest.raises(PortOutOfRange):
+        Engine(two_node(), [AgentSpec(1, False, ScriptedAgent([2]), 0, 1)], round_cap=3).run()
 
 
 def test_a_walker_is_stepped_only_where_its_leg_meets_an_unknown_id():
@@ -548,11 +643,13 @@ def test_trace_exports_match_pinned_digests(case, digest):
 
 
 class _EagerEngine(Engine):
-    """The engine with lazy stepping off: every agent is stepped every round."""
+    """The engine with lazy stepping off: every agent, in either seat, is
+    stepped every round."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self._lazy = [False] * len(self._lazy)
+        self._static = [False] * len(self._static)
 
 
 def _hook_cells():
@@ -583,21 +680,35 @@ def _walker_cells():
 
 def _single_node_cells():
     # n = 1: the one node has degree 0, so a step that wait() answers with a
-    # walk did not move, and the engine must not make that walk.  (Seeds 0
-    # and 2 of this cell differ between lazy and every-round stepping by
-    # the known lazy lure inexactness, see ROADMAP item 3.)
+    # walk did not move, and the engine must not make that walk.
     from byzgather.harness import parse_matrix_text
 
     return [cfg for variant in ("NS", "SIM") for cfg in parse_matrix_text(
         f"variant = {variant}\nn = 1\nN = 3\nfamilies = path\nf = 1\n"
-        "strategies = lure\nwake_policies = adversarial_stagger\nseeds = 1")]
+        "strategies = lure\nwake_policies = adversarial_stagger\nseeds = 0, 1, 2")]
+
+
+# Cells where a searcher finds a target that stands still and does not
+# claim itself: its new watch already holds on the view it stays on, so
+# the engine must ask it although its node does not change.
+FOUND_TARGET_IDS = [f"{v}-complete-n5-f1-k17-{s}-all_at_once-s0" for v in ("NS", "SIM")
+                    for s in ("crash", "fake_group", "id_inflator")] + [
+    f"{v}-complete-n5-f1-k17-lure-single_good_first-s0" for v in ("NS", "SIM")]
+
+
+def _found_target_cells():
+    from byzgather.harness import acceptance_matrix
+
+    cells = {cfg.scenario_id: cfg for variant in ("NS", "SIM") for cfg in acceptance_matrix(variant)}
+    return [cells[sid] for sid in FOUND_TARGET_IDS]
 
 
 HOOK_CELLS = _hook_cells()
 WIDE_CELLS = _wide_cells()
 WALKER_CELLS = _walker_cells()
 SINGLE_NODE_CELLS = _single_node_cells()
-LAZY_CELLS = HOOK_CELLS + WIDE_CELLS + WALKER_CELLS + SINGLE_NODE_CELLS
+FOUND_TARGET_CELLS = _found_target_cells()
+LAZY_CELLS = HOOK_CELLS + WIDE_CELLS + WALKER_CELLS + SINGLE_NODE_CELLS + FOUND_TARGET_CELLS
 
 
 def test_hook_cells_cover_both_variants_and_every_strategy():
@@ -631,6 +742,44 @@ def test_lazy_stepping_matches_stepping_every_round(cfg, monkeypatch):
     assert harness.export_trace_text(lazy, cfg) == harness.export_trace_text(eager, cfg)
 
 
+@st.composite
+def small_worlds(draw):
+    """A scenario on at most four nodes under a walk bound of at most four,
+    either variant, f <= 1 under either team rule, any strategy and wake
+    policy, sometimes capped early."""
+    from byzgather.adversary import STRATEGY_NAMES, WAKE_POLICIES
+    from byzgather.harness import (ScenarioConfig, default_agent_ids,
+                                   hypothesis_team_size, strict_team_size)
+
+    family = draw(st.sampled_from(["path", "ring", "complete", "random-tree", "random-connected"]))
+    n = draw(st.integers({"ring": 3, "complete": 2}.get(family, 1), 4))
+    f = draw(st.integers(0, 1))
+    rule = draw(st.sampled_from(["strict", "hypothesis"]))
+    seed = draw(st.integers(0, 5))
+    ids, byz = default_agent_ids((strict_team_size if rule == "strict" else hypothesis_team_size)(f),
+                                 f, seed)
+    return ScenarioConfig(
+        scenario_id="small", variant=draw(st.sampled_from(["NS", "SIM"])), family=family, n=n,
+        graph_seed=draw(st.integers(0, 3)), N=draw(st.integers(n, 4)), ids=ids, byzantine_ids=byz,
+        strategy=draw(st.sampled_from(STRATEGY_NAMES)), wake_policy=draw(st.sampled_from(WAKE_POLICIES)),
+        seed=seed, team_rule=rule, round_cap=draw(st.none() | st.integers(1, 400)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_worlds())
+def test_lazy_stepping_matches_stepping_every_round_on_small_worlds(cfg):
+    from byzgather import harness
+
+    _, lazy = harness.run_scenario(cfg)
+    engine = harness.Engine
+    harness.Engine = _EagerEngine
+    try:
+        _, eager = harness.run_scenario(cfg)
+    finally:
+        harness.Engine = engine
+    assert harness.export_trace_text(lazy, cfg) == harness.export_trace_text(eager, cfg)
+
+
 # Outermost step() calls of the good agents on the k = 38 estf_liar cell,
 # as measured with every watcher answering a predicate and the rendezvous
 # phases before the end of id collection skipped: 2,596 on the NS cell
@@ -658,3 +807,29 @@ def test_good_step_calls_stay_within_the_guard(variant, monkeypatch):
     verdict, _ = harness.run_scenario(cfg)
     assert verdict.ok
     assert calls <= GUARD_STEPS[variant]
+
+
+# Round-loop iterations summed over the n = 10 baseline cells, whose
+# 340,191 rounds are mostly lone walks and idle waits: 21,789 with id
+# watches dropped at the id horizon and predicate-free walks moved to the
+# next due round in one pass (42,271 when the loop ran for every walk
+# round).  Iteration counts repeat exactly, so a lost fast-forward fails
+# here in seconds.
+GUARD_LOOPS = 21_789
+
+
+def test_round_loop_iterations_stay_within_the_guard(monkeypatch):
+    from byzgather import harness
+
+    engines = []
+
+    class Recorded(Engine):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            engines.append(self)
+
+    monkeypatch.setattr(harness, "Engine", Recorded)
+    for cfg in WALKER_CELLS:
+        verdict, _ = harness.run_scenario(cfg)
+        assert verdict.ok
+    assert sum(e.rounds_processed for e in engines) <= GUARD_LOOPS
