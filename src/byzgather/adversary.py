@@ -65,28 +65,28 @@ def wake_schedule(policy: str, agent_ids: list[int], byzantine_ids: set[int],
 
 
 class ByzantineStrategy:
-    """Base stepper for faulty agents: stationary, frozen presented state.
-
-    A strategy that holds one fixed pose and never moves sets ``static =
-    True``; the engine steps it only in its wake round, so its ``step``
-    just returns that pose.
-    """
+    """Base stepper for faulty agents: stationary, frozen presented state."""
 
     name = "crash"
-    static = False
 
     def __init__(self, agent_id: int, seed: int, f: int):
         self.agent_id = agent_id
         self.f = f
-        self.rng = random.Random(f"{self.name}:{seed}:{agent_id}")
 
     def step(self, world: WorldView, agent_id: int):
         return None, None
 
 
-class Crash(ByzantineStrategy):
+class HeldPose(ByzantineStrategy):
+    """Shows one pose from its wake round on and never moves: never due
+    again, no watch, no walk, so it is stepped in its wake round only."""
+
+    def wait(self):
+        return None, None, None
+
+
+class Crash(HeldPose):
     name = "crash"
-    static = True
 
 
 class RandomWalk(ByzantineStrategy):
@@ -94,26 +94,30 @@ class RandomWalk(ByzantineStrategy):
 
     name = "random_walk"
 
+    def __init__(self, agent_id, seed, f):
+        super().__init__(agent_id, seed, f)
+        self.rng = random.Random(f"{self.name}:{seed}:{agent_id}")
+
     def step(self, world, agent_id):
         d = world.degree(world.position(agent_id))
         return None, (self.rng.randint(1, d) if d > 0 else None)
 
 
-class FakeTarget(ByzantineStrategy):
+def _target_pose(agent_id: int, f: int) -> PresentedState:
+    """A waiting group-making target that claims itself."""
+    return PresentedState(STA_MG_TA, True, True, f, agent_id, None, frozenset((agent_id,)), False, False)
+
+
+class FakeTarget(HeldPose):
     """Poses as a waiting group-making target forever, hoping to be adopted."""
 
     name = "fake_target"
-    static = True
-
-    def _pose(self) -> PresentedState:
-        return PresentedState(STA_MG_TA, True, True, self.f, self.agent_id,
-                              None, frozenset((self.agent_id,)), False, False)
 
     def step(self, world, agent_id):
-        return self._pose(), None
+        return _target_pose(self.agent_id, self.f), None
 
 
-class Lure(FakeTarget):
+class Lure(ByzantineStrategy):
     """Acts as a clean target until hunters settle, then betrays its pose.
 
     Once searchers hunting this agent have sat with it for two rounds it
@@ -122,7 +126,6 @@ class Lure(FakeTarget):
     """
 
     name = "lure"
-    static = False
 
     def __init__(self, agent_id, seed, f):
         super().__init__(agent_id, seed, f)
@@ -156,16 +159,15 @@ class Lure(FakeTarget):
         presented = None
         if want_flip != self._flipped or first:
             self._flipped = want_flip
-            pose = self._pose()
+            pose = _target_pose(self.agent_id, self.f)
             presented = pose._replace(tar=0) if want_flip else pose
         return presented, None
 
 
-class FakeGroup(ByzantineStrategy):
+class FakeGroup(HeldPose):
     """Advertises membership in a nonexistent group with the smallest possible id."""
 
     name = "fake_group"
-    static = True
 
     def step(self, world, agent_id):
         presented = PresentedState(STA_G_WG, True, False, self.f, None, 0,
@@ -191,11 +193,10 @@ class EstfLiar(ByzantineStrategy):
         return presented, None
 
 
-class IdInflator(ByzantineStrategy):
+class IdInflator(HeldPose):
     """Claims to have met an enormous id, attacking the trusted-maximum vote."""
 
     name = "id_inflator"
-    static = True
     FAKE_ID = 1_000_003
 
     def step(self, world, agent_id):

@@ -408,13 +408,11 @@ def check(trace: Trace, config: ScenarioConfig) -> Verdict:
         bound = theorem2_bound(X, f, config.lambda_all)
     bound_satisfied = bool(gathered and measured is not None and measured <= bound)
 
-    end_ci = {}
-    for r, aid, payload in trace.events_of("end_ci"):
-        end_ci[aid] = (r, payload[0], payload[1])
+    end_ci = {aid: (r, payload[0], payload[1]) for r, aid, payload in trace.events_of("end_ci")}
     roles = {aid: payload for _, aid, payload in trace.events_of("mgst_role")}
-    bl_adds = [(r, aid, payload) for r, aid, payload in trace.events_of("bl_add")]
-    gid_sets = [(r, aid, payload) for r, aid, payload in trace.events_of("gid_set")]
-    idm_events = [(r, aid, payload) for r, aid, payload in trace.events_of("idm")]
+    bl_adds = trace.events_of("bl_add")
+    gid_sets = trace.events_of("gid_set")
+    idm_events = trace.events_of("idm")
 
     good_set = set(good)
     checks: dict[str, bool] = {}
@@ -495,7 +493,7 @@ def _check_group_agreement(trace: Trace, gid_sets) -> bool:
         by_site.setdefault((r, node), []).append((gid, gef))
     agent_ids = trace.agent_ids
     for (r, node), entries in by_site.items():
-        if len({e for e in entries}) != 1:
+        if len(set(entries)) != 1:
             return False
         gef = entries[0][1]
         occupancy = sum(1 for aid in agent_ids if trace.node_at(aid, r) == node)

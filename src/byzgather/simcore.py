@@ -6,51 +6,53 @@ reads an observation of its node as of the end of the previous round,
 all transitions run, and all moves apply simultaneously.  Two agents
 crossing one edge in opposite directions never observe each other.
 
-Stepping is lazy where a stepper allows it.  A protocol stepper with a
-``wait()`` method is asked, right after each step that did not
-terminate, ``(due, wants, walk)``: ``due`` is the next own count that
-must be stepped (None: none is), ``wants(view)`` the predicate under
-which an earlier changed view acts (None: none does), and ``walk =
-(base, offsets)`` the moves it makes until then.  Each lazy agent has one
-record: its due round in a heap, its predicate, asked once per change of
-its node and once on the end-of-round view after a step that did not
-move, and, after a step that moved and named a walk, an entry in the
-walks.  The engine moves a walker itself, with no ``step()`` call, each
-own count c through ``exit_port(offsets[c - base], entry, degree)``,
-until its due round or until ``wants`` holds.  A walker's node changes
-every round, so its predicate is asked every round; by the lone-view
-rule it is False on a view that shows only the walker, so a lone walker
-costs one move per round and no view.  The rule is for walkers only: a
-watcher's predicate may hold on its own changed view.  An id
-collector's predicate is an ``UnknownId``; once its known ids hold every
-id of the run it can never hold, and the engine stores None instead (the
-id horizon).  A Byzantine strategy with ``static = True`` is stepped
-once, in its wake round.  Every other stepper is stepped every round.
+Stepping is lazy where a stepper allows it.  A stepper with a ``wait()``
+method, in either seat and either feed, is asked, right after each step
+that did not terminate, ``(due, wants, walk)``: ``due`` is the next own
+count that must be stepped (None: none is), ``wants(view)`` the
+predicate under which an earlier changed view acts (None: none does),
+and ``walk = (base, offsets)`` the moves it makes until then.  Each lazy
+agent has one record: its due round in a heap, its predicate, asked once
+per change of its node and once on the end-of-round view after a step
+that did not move, and, after a step that moved and named a walk, an
+entry in the walks.  The engine moves a walker itself, with no
+``step()`` call, each own count c through ``exit_port(offsets[c - base],
+entry, degree)``, until its due round or until ``wants`` holds.  A
+walker's node changes every round, so its predicate is asked every
+round; by the lone-view rule it is False on a view that shows only the
+walker, so a lone walker costs one move per round and no view.  The rule
+is for walkers only: a watcher's predicate may hold on its own changed
+view.  An id collector's predicate is an ``UnknownId``; once its known
+ids hold every id of the run it can never hold, and the engine stores
+None instead (the id horizon).  A held pose answers ``(None, None,
+None)``, so it is stepped only in its wake round.  A stepper without
+``wait()`` is stepped every round.
 
-When a round changes nothing and no every-round stepper is active, the
-engine skips ahead to the next due round or scheduled wake (or past the
-round cap): at once if nobody walks, and if nobody is dormant and no
-active agent holds a predicate, after moving each walker through the
-skipped rounds in one pass, logging every move; no walker can then meet
-an agent that acts.  Walk moves land through a neighbour table built
-once per engine; a stepped move goes through ``PortGraph.neighbor``,
-which checks its port.  Lazy stepping is exact: a run exports the same
-trace as one that steps every agent in every round, which the tests
-check on pinned acceptance cells and on random small worlds.
+When a round changes nothing, no visit is pending, no every-round
+stepper is active, and either nobody walks or nobody is dormant and no
+active agent holds a predicate, the engine skips ahead to the next due
+round or scheduled wake (or past the round cap), moving each walker
+through the skipped rounds in one pass; no walker can then meet an agent
+that acts.  Every move lands through ``_land``.  A walk move is found in
+a neighbour table built once per engine; a stepped move goes through
+``PortGraph.neighbor``, which checks its port.  Lazy stepping is exact:
+a run exports the same trace as one that steps every agent in every
+round, which the tests check on pinned acceptance cells and on random
+small worlds.
 
 A view costs what its readers use: its ``ids`` and its two columns,
 ``order`` (true ids in id order) and ``states`` (their presented
 states), are taken with it, and ``view.memo`` holds values derived from
-it that every co-located reader would otherwise recompute.  A round in
-which nothing is due, changed or woken, and no every-round stepper is
-active, steps nobody: the engine only moves its walkers.
+it that every co-located reader would otherwise recompute.
 
 The engine is protocol-agnostic, and the stepper, not the seat, picks
 how it is called.  A protocol stepper (one with ``build_presented()``)
 is fed only its node's observation and entry port, in either seat; any
 other stepper is a Byzantine strategy fed the full world state.  The
 seat decides only what counts: a faulty agent's events never reach the
-trace, and its termination halts it without a termination record.
+trace, and its termination gets no termination record.  Halting is the
+same in either feed: the agent stays on its node, shows its last
+presented state with ``terminated`` set, and is never stepped again.
 Presented states are paired with engine-held true ids, so a faulty agent
 can forge every field except its identity.
 """
@@ -304,6 +306,12 @@ class WorldView:
 class Engine:
     """Runs one scenario round-by-round, producing a deterministic Trace.
 
+    Active steppers without ``wait()`` (``random_walk``, ``lure``,
+    ``estf_liar``) sit in a sorted list stepped every round, not in the
+    due heap: a heap entry pushed and popped every round measured slower
+    (median CPU per ``adversarial-mix`` pass 5.5 s with the list, 5.7 to
+    6.1 s with the heap, on a 2-vCPU host).
+
     The ``WorldView`` handed to world-fed strategies lives only as long
     as ``run()``, so an engine is in no reference cycle and is freed by
     reference counting.  A ``GatheringAgent``'s phase plan holds bound
@@ -323,12 +331,10 @@ class Engine:
         self.index_of = {aid: i for i, aid in enumerate(ids)}
         self.is_byz = [s.is_byzantine for s in specs]
         self.steppers = [s.stepper for s in specs]
-        # Protocol: a stepper fed its node's view, in either seat.
-        # Lazy: a protocol stepper with the wait() hook.
-        # Static: a Byzantine strategy that never acts after its first step.
+        # Protocol: fed its node's view, in either seat (else fed the world).
+        # Lazy: has the wait() hook, in either feed (else stepped every round).
         self._protocol = [hasattr(s.stepper, "build_presented") for s in specs]
-        self._lazy = [p and hasattr(s.stepper, "wait") for p, s in zip(self._protocol, specs)]
-        self._static = [s.is_byzantine and getattr(s.stepper, "static", False) for s in specs]
+        self._lazy = [hasattr(s.stepper, "wait") for s in specs]
         self.pos = [s.start_node for s in specs]
         self.schedule = [s.wake_round for s in specs]
         self.status = [DORMANT] * len(specs)
@@ -351,7 +357,7 @@ class Engine:
         self.trace = Trace(scenario_id, variant, x_n, graph, good, byz)
         self._wake: list[int | None] = [None] * len(specs)
         self._every: list[int] = []  # active steppers stepped every round, sorted
-        # Due rounds of lazy and static agents; heap entries whose round no
+        # Due rounds of lazy agents; heap entries whose round no
         # longer matches _due_round are stale and skipped.
         self._due: list[tuple[int, int]] = []
         self._due_round: list[int | None] = [None] * len(specs)
@@ -364,6 +370,9 @@ class Engine:
         self._dormant = list(range(len(specs)))
         self._good_left = len(good)
         self.rounds_processed = 0  # rounds the round loop ran for
+        # What _land writes, in one tuple: it runs in every round with a move.
+        self._landing = (self.pos, self.entry, self.occupants, self._dirty, self._view_cache,
+                         self.trace.position_log, self.ids)
 
     def node_view(self, node: int) -> ObservationView:
         view = self._view_cache[node]
@@ -393,7 +402,7 @@ class Engine:
         insort(self.occupants[node], idx)
         self._dirty.add(node)
         self._view_cache[node] = None
-        if self._lazy[idx] or self._static[idx]:
+        if self._lazy[idx]:
             self._set_due(idx, r)
         else:
             insort(self._every, idx)
@@ -447,23 +456,34 @@ class Engine:
             moves.append((idx, u, q))
 
     def _walk_ahead(self, r: int, nxt: int) -> None:
-        """Move every walker through rounds ``r..nxt-1``, in which nobody
-        else acts, and log each move; occupants, position, entry port and
-        view cache are updated once per walker."""
-        pos, entry, degree, nbr = self.pos, self.entry, self._degree, self._nbr
-        occupants, view_cache, log = self.occupants, self._view_cache, self.trace.position_log
+        """Walk every walker through rounds ``r..nxt-1`` (nobody else acts or
+        holds a predicate), logging each move but the last, which ``_land`` lands."""
+        pos, entry, degree, nbr, ids = self.pos, self.entry, self._degree, self._nbr, self.ids
+        log = self.trace.position_log
+        moves = []
         for idx, (base, offsets) in self._walks.items():
-            start = v = pos[idx]
-            q = entry[idx]
-            path = log[self.ids[idx]]
+            v, q = pos[idx], entry[idx]
+            path = log[ids[idx]]
             for t in range(r, nxt):
                 v, q = nbr[v][exit_port(offsets[t - base], q, degree[v]) - 1]
                 path.append((t + 1, v))
-            occupants[start].remove(idx)
-            insort(occupants[v], idx)
-            view_cache[start] = view_cache[v] = None
-            pos[idx] = v
+            path.pop()  # the last move is logged where it lands
+            moves.append((idx, v, q))
+        self._land(moves, nxt - 1)
+
+    def _land(self, moves: list[tuple[int, int, int]], r: int) -> None:
+        """Apply round ``r``'s moves, (agent, far node, entry port) each."""
+        pos, entry, occupants, dirty, view_cache, log, ids = self._landing
+        for idx, u, q in moves:
+            old = pos[idx]
+            occupants[old].remove(idx)
+            insort(occupants[u], idx)
+            dirty.add(old)
+            dirty.add(u)
+            view_cache[old] = view_cache[u] = None
+            pos[idx] = u
             entry[idx] = q
+            log[ids[idx]].append((r + 1, u))
 
     def _to_step(self, r: int, changed: set[int]) -> list[int]:
         """Active agents stepped in round ``r``, in id order."""
@@ -479,46 +499,31 @@ class Engine:
         return sorted(chosen)
 
     def _finish(self, rounds: int) -> Trace:
-        # Lazy agents' clocks read as if they had been stepped every round.
+        # Lazy protocol steppers' clocks read as if stepped every round.
         for idx, stepper in enumerate(self.steppers):
-            if self._lazy[idx] and self.status[idx] == ACTIVE:
+            if self._lazy[idx] and self._protocol[idx] and self.status[idx] == ACTIVE:
                 stepper.state.count = rounds + 1 - self._wake[idx]
         self.trace.rounds = rounds
         return self.trace
 
     def run(self) -> Trace:
-        trace = self.trace
-        ids = self.ids
-        steppers = self.steppers
-        status = self.status
-        is_byz = self.is_byz
-        protocol = self._protocol
-        lazy = self._lazy
-        wake = self._wake
-        watch = self._watch
-        walks = self._walks
-        pos = self.pos
-        entry = self.entry
-        presented = self.presented
-        occupants = self.occupants
-        view_cache = self._view_cache
-        dirty = self._dirty
+        trace, ids, steppers, status = self.trace, self.ids, self.steppers, self.status
+        is_byz, protocol, lazy, wake = self.is_byz, self._protocol, self._lazy, self._wake
+        watch, walks, pos, entry = self._watch, self._walks, self.pos, self.entry
+        presented, occupants, view_cache = self.presented, self.occupants, self._view_cache
+        dirty, neighbor, land = self._dirty, self.graph.neighbor, self._land
         pending_visit: list[int] = []
-        neighbor = self.graph.neighbor
         all_ids = frozenset(ids)
         world = WorldView(self)
         while True:
             changed = self._changed()
             r = self.round + 1
-            if not (changed or pending_visit or self._every):
-                if not walks:
-                    r = self._next_round(r)
-                elif not (self._dormant or any(watch)):
-                    # Until the next due round only the walkers act.
-                    nxt = self._next_round(r)
-                    if nxt > r:
-                        self._walk_ahead(r, nxt)
-                        r = nxt
+            if not (changed or pending_visit or self._every or walks and (self._dormant or any(watch))):
+                # Until the next due round only the walkers act.
+                nxt = self._next_round(r)
+                if walks and nxt > r:
+                    self._walk_ahead(r, nxt)
+                r = nxt
             self.round = r
             if r > self.round_cap:
                 trace.capped = True
@@ -570,6 +575,13 @@ class Engine:
                 elif action is TERMINATE:
                     terminations.append(idx)
                     entry[idx] = None
+                    # It halts showing its last presented state, marked terminated.
+                    if protocol[idx]:
+                        stepper.terminated = True
+                        new_presented = stepper.build_presented()
+                    else:
+                        new_presented = (new_presented or presented[idx])._replace(terminated=True)
+                    pres_updates.append((idx, new_presented))
                 else:
                     u, q = neighbor(pos[idx], action)
                     moves.append((idx, u, q))
@@ -596,20 +608,9 @@ class Engine:
                 if not is_byz[idx]:
                     trace.termination[ids[idx]] = (r, pos[idx])
                     self._good_left -= 1
-                stepper = steppers[idx]
-                stepper.terminated = True
-                pres_updates.append((idx, stepper.build_presented()))
 
-            for idx, u, q in moves:
-                old = pos[idx]
-                occupants[old].remove(idx)
-                insort(occupants[u], idx)
-                dirty.add(old)
-                dirty.add(u)
-                view_cache[old] = view_cache[u] = None
-                pos[idx] = u
-                entry[idx] = q
-                trace.position_log[ids[idx]].append((r + 1, u))
+            if moves:
+                land(moves, r)
 
             for idx, p in pres_updates:
                 presented[idx] = p

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from byzgather.portgraph import GraphFamily, PortOutOfRange, build, generate
 from byzgather.gathering import schedule_slot
-from byzgather.simcore import TERMINATE, AgentSpec, Engine, UnknownId, initial_presented
+from byzgather.simcore import (ACTIVE, TERMINATE, TERMINATED, AgentSpec, Engine, UnknownId,
+                               initial_presented)
 
 
 def two_node():
@@ -182,6 +183,45 @@ def test_a_protocol_stepper_is_driven_alike_in_either_seat(faulty):
     else:
         assert trace.events == [(r + 1, 9, "tick", r) for r in (1, 4, 7, 10)]
         assert trace.termination == {9: (11, 0)}
+
+
+class _WorldFedQuitter:
+    """A world-fed stepper: shows ``pose`` in round 1, halts in round 2."""
+
+    def __init__(self, pose):
+        self.pose = pose
+        self.rounds = []
+
+    def step(self, world, agent_id):
+        self.rounds.append(world.round)
+        return (self.pose, None) if world.round == 1 else (None, TERMINATE)
+
+
+class _LazyWorldFedQuitter(_WorldFedQuitter):
+    def wait(self):
+        return 2, None, None  # due at own count 2: round 2 when woken in round 1
+
+
+def test_a_world_fed_strategy_halts_like_any_faulty_agent():
+    class Watcher(ScriptedAgent):
+        def step(self, view_, entry_port):
+            self.shown.append(dict(zip(view_.order, view_.states)))
+            return super().step(view_, entry_port)
+
+    g = two_node()
+    pose = presented(sta="S_MG_TA", tar=7)
+    eager, lazy, watcher = _WorldFedQuitter(pose), _LazyWorldFedQuitter(pose), Watcher()
+    watcher.shown = []
+    engine = Engine(g, [AgentSpec(1, False, watcher, 0, 1), AgentSpec(7, True, eager, 0, 1),
+                        AgentSpec(8, True, lazy, 0, 1)], round_cap=5)
+    trace = engine.run()
+    assert eager.rounds == lazy.rounds == [1, 2]  # never stepped after halting
+    assert engine.status == [ACTIVE, TERMINATED, TERMINATED]
+    # Its last presented state stays on show, marked terminated.
+    assert [s[7] for s in watcher.shown[2:]] == [pose._replace(terminated=True)] * 3
+    assert [s[8] for s in watcher.shown[2:]] == [pose._replace(terminated=True)] * 3
+    assert trace.termination == {}
+    assert trace.capped and trace.rounds == 5
 
 
 class _PredicateWatcher:
@@ -395,14 +435,15 @@ def test_steppers_without_the_hook_are_stepped_every_round():
             return None, None
 
     class Static(Still):
-        static = True
+        def wait(self):
+            return None, None, None  # a held pose: never due again
 
     scripted, still, static = ScriptedAgent(), Still(), Static()
     Engine(g, [AgentSpec(1, False, scripted, 0, 1), AgentSpec(2, True, still, 1, 1),
             AgentSpec(3, True, static, 1, 2)], round_cap=6).run()
     assert len(scripted.seen) == 6  # nothing changes, yet it is stepped each round
     assert still.rounds == [1, 2, 3, 4, 5, 6]
-    assert static.rounds == [2]  # a static strategy only in its wake round
+    assert static.rounds == [2]  # a held pose only in its wake round
 
 
 def test_lazy_stepper_skips_idle_rounds_but_keeps_its_clock():
@@ -603,7 +644,7 @@ def _dense_export(text):
 
 # SHA-256 of the dense expansion of export_trace_text, recorded from the
 # engine that stepped every agent in every round, when the export itself
-# was dense.  Together: both variants, f = 0, 1, 2, static and every-round
+# was dense.  Together: both variants, f = 0, 1, 2, held-pose and every-round
 # strategies, all three wake policies, and a capped run.
 PINNED_TRACES = [
     (("NS", "ring", 3, 0, "strict", "crash", "all_at_once", 0),
@@ -649,7 +690,6 @@ class _EagerEngine(Engine):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self._lazy = [False] * len(self._lazy)
-        self._static = [False] * len(self._static)
 
 
 def _hook_cells():
@@ -833,3 +873,26 @@ def test_round_loop_iterations_stay_within_the_guard(monkeypatch):
         verdict, _ = harness.run_scenario(cfg)
         assert verdict.ok
     assert sum(e.rounds_processed for e in engines) <= GUARD_LOOPS
+
+
+def test_held_poses_are_stepped_once_per_faulty_wake(monkeypatch):
+    # A held pose answers wait() with never due again, so a world-fed step
+    # runs once per faulty agent that wakes, in its wake round.
+    from byzgather import adversary, harness
+
+    calls = 0
+    held = (adversary.Crash, adversary.FakeTarget, adversary.FakeGroup, adversary.IdInflator)
+    for cls in held:
+        def counting(self, world, agent_id, step=cls.step):
+            nonlocal calls
+            calls += 1
+            return step(self, world, agent_id)
+
+        monkeypatch.setattr(cls, "step", counting)
+    woke = 0
+    for cfg in HOOK_CELLS:
+        if cfg.strategy in {cls.name for cls in held}:
+            _, trace = harness.run_scenario(cfg)
+            woke += len(trace.byz_ids & trace.wake_round.keys())
+    assert woke > 0
+    assert calls == woke
