@@ -15,7 +15,6 @@ import random
 
 from .gathering import GatheringAgent
 from .simcore import (
-    ACTIVE,
     STA_G_WG,
     STA_MG_SA,
     STA_MG_TA,
@@ -90,17 +89,51 @@ class Crash(HeldPose):
 
 
 class RandomWalk(ByzantineStrategy):
-    """Moves through a uniformly random port every round."""
+    """Moves through a uniformly random port every round.
+
+    It draws its ports in legs of ``LEG`` moves along its own path, one
+    ``rng.randint(1, d)`` per move, as one draw per round would, and each
+    step moves through the port drawn for its own count.  ``wait()`` names
+    the rest of the leg as a walk, so the engine makes those moves.
+    """
 
     name = "random_walk"
+    LEG = 64
 
     def __init__(self, agent_id, seed, f):
         super().__init__(agent_id, seed, f)
         self.rng = random.Random(f"{self.name}:{seed}:{agent_id}")
+        self._shift: int | None = None  # own count c falls in round c + shift
+        self._base = 0  # own count of the leg's first port
+        self._ports: list[int] = []
+        self._offsets: list[int] = []
 
     def step(self, world, agent_id):
-        d = world.degree(world.position(agent_id))
-        return None, (self.rng.randint(1, d) if d > 0 else None)
+        if self._shift is None:
+            self._shift = world.round - 1
+        c = world.round - self._shift
+        if c - self._base >= len(self._ports):
+            # A new leg from here.  Each offset gives back its port under the
+            # walk rule; offset 0 is this step's own move, which the engine
+            # does not read.  A degree-0 node (a one-node graph) has none.
+            adj, v, e, randint = world.graph._adj, world.position(agent_id), 1, self.rng.randint
+            ports, offsets = [], []
+            for _ in range(self.LEG):
+                row = adj[v]
+                d = len(row)
+                if d == 0:
+                    break
+                p = randint(1, d)
+                ports.append(p)
+                offsets.append((p - e) % d)
+                v, e = row[p - 1]
+            self._base, self._ports, self._offsets = c, ports, offsets
+        return None, (self._ports[c - self._base] if self._ports else None)
+
+    def wait(self):
+        if not self._ports:
+            return None, None, None
+        return self._base + len(self._ports), None, (self._base, self._offsets)
 
 
 def _target_pose(agent_id: int, f: int) -> PresentedState:
@@ -123,45 +156,62 @@ class Lure(ByzantineStrategy):
     Once searchers hunting this agent have sat with it for two rounds it
     flips its presented target field away from its id for a stretch of X
     rounds, which is exactly the evidence watching searchers blacklist on.
+
+    A hunter is a good agent, not terminated, that targets this agent.  A
+    good agent targets no id above its own (its own, or the least it
+    collected and did not blacklist), so only agents stepped after the
+    lure can hunt it, and each shows in the round's view the target it
+    holds at the lure's step: the lure reads hunters from its view.
     """
 
     name = "lure"
 
     def __init__(self, agent_id, seed, f):
         super().__init__(agent_id, seed, f)
-        self._sent = False
+        self._shift: int | None = None  # own count c falls in round c + shift
+        self._round = 0  # round of the last step
         self._streak = 0
-        self._flip_left = 0
+        self._flip_until = 0  # last round of the flip stretch
         self._flipped = False
         self._good: frozenset[int] = frozenset()
 
     def step(self, world, agent_id):
-        first = not self._sent
-        self._sent = True
+        r = self._round = world.round
+        first = self._shift is None
         if first:
+            self._shift = r - 1
             self._good = frozenset(world.good_ids())
-        hunters = 0
-        for g in world.view_of(agent_id)[0].ids & self._good:
-            if world.status(g) == ACTIVE and world.stepper(g).state.tar == agent_id:
-                hunters += 1
-        want_flip = False
-        if self._flip_left > 0:
-            self._flip_left -= 1
-            want_flip = True
-        elif hunters:
-            self._streak += 1
-            if self._streak >= 2:
-                self._flip_left = world.x_n
+        want_flip = r <= self._flip_until
+        if not want_flip:
+            if self._hunted(world.view_of(agent_id)[0]):
+                self._streak += 1
+                if self._streak >= 2:
+                    self._flip_until = r + world.x_n
+                    self._streak = 0
+                    want_flip = True
+            else:
                 self._streak = 0
-                want_flip = True
-        else:
-            self._streak = 0
         presented = None
         if want_flip != self._flipped or first:
             self._flipped = want_flip
             pose = _target_pose(self.agent_id, self.f)
             presented = pose._replace(tar=0) if want_flip else pose
         return presented, None
+
+    def _hunted(self, view) -> bool:
+        """A hunter shares ``view``."""
+        aid, good = self.agent_id, self._good
+        return any(p.tar == aid and not p.terminated and g in good
+                   for g, p in zip(view.order, view.states))
+
+    def wait(self):
+        """Due after a flip stretch and in the round after a first hunted
+        one; otherwise idle until a view shows a hunter."""
+        if self._round <= self._flip_until:
+            return self._flip_until + 1 - self._shift, None, None
+        if self._streak == 1:
+            return self._round + 1 - self._shift, None, None
+        return None, self._hunted, None
 
 
 class FakeGroup(HeldPose):

@@ -25,8 +25,10 @@ is for walkers only: a watcher's predicate may hold on its own changed
 view.  An id collector's predicate is an ``UnknownId``; once its known
 ids hold every id of the run it can never hold, and the engine stores
 None instead (the id horizon).  A held pose answers ``(None, None,
-None)``, so it is stepped only in its wake round.  A stepper without
-``wait()`` is stepped every round.
+None)``, so it is stepped only in its wake round; a random walker names
+each leg of the ports it draws as a walk, and a lure watches for a
+hunter.  A stepper without ``wait()`` (``estf_liar``) is stepped every
+round.
 
 When a round changes nothing, no visit is pending, no every-round
 stepper is active, and either nobody walks or nobody is dormant and no
@@ -306,11 +308,13 @@ class WorldView:
 class Engine:
     """Runs one scenario round-by-round, producing a deterministic Trace.
 
-    Active steppers without ``wait()`` (``random_walk``, ``lure``,
-    ``estf_liar``) sit in a sorted list stepped every round, not in the
-    due heap: a heap entry pushed and popped every round measured slower
-    (median CPU per ``adversarial-mix`` pass 5.5 s with the list, 5.7 to
-    6.1 s with the heap, on a 2-vCPU host).
+    Active steppers without ``wait()``, ``estf_liar`` and test doubles,
+    sit in a sorted list stepped every round, not in the due heap: a heap
+    entry pushed and popped every round measured slower (median CPU per
+    ``adversarial-mix`` pass 5.5 s with the list, 5.7 to 6.1 s with the
+    heap, on a 2-vCPU host).  ``estf_liar`` flips its pose with the
+    round's parity, and every co-located watcher may read the flip in the
+    next round, so each of its rounds acts.
 
     The ``WorldView`` handed to world-fed strategies lives only as long
     as ``run()``, so an engine is in no reference cycle and is freed by

@@ -14,9 +14,6 @@ same quorum and stop together.
 
 from __future__ import annotations
 
-from collections import Counter
-from itertools import chain
-
 from .exploration import ExplorationSequence
 from .gathering import GatheringAgent, cist_length, most_frequent_smallest
 from .simcore import TERMINATE, ObservationView
@@ -31,9 +28,12 @@ def termination_threshold(x_n: int, idm: int) -> int:
 
 def trusted_max_id(view: ObservationView, gef: int) -> int | None:
     """Largest id appearing in at least gef+1 of the presented id lists."""
-    counts = Counter(chain.from_iterable(p.il for p in view.states))
+    ils = [p.il for p in view.states]
     need = gef + 1
-    return max((aid for aid, c in counts.items() if c >= need), default=None)
+    for aid in sorted(frozenset().union(*ils), reverse=True):
+        if sum(aid in il for il in ils) >= need:
+            return aid
+    return None
 
 
 def simterm(view: ObservationView) -> tuple[int, int, int | None]:

@@ -9,6 +9,7 @@ from byzgather.adversary import (
     wake_schedule,
 )
 from byzgather.harness import ScenarioConfig, default_agent_ids, run_scenario
+from byzgather.portgraph import build
 
 
 def test_all_at_once_schedule():
@@ -50,59 +51,53 @@ def test_unknown_strategy_rejected():
 def test_random_walk_is_seed_deterministic():
     class World:
         x_n = 4
+        round = 0
+        graph = build(4, [(u, v) for u in range(4) for v in range(u + 1, 4)])  # degree 3
 
         def position(self, aid):
             return 0
 
-        def degree(self, node):
-            return 3
+    def ports(walker):
+        w = World()
+        seq = []
+        for r in range(1, 31):
+            w.round = r
+            seq.append(walker.step(w, 9)[1])
+        return seq
 
-    a = RandomWalk(9, seed=7, f=1)
-    b = RandomWalk(9, seed=7, f=1)
-    c = RandomWalk(9, seed=8, f=1)
-    w = World()
-    seq_a = [a.step(w, 9)[1] for _ in range(30)]
-    seq_b = [b.step(w, 9)[1] for _ in range(30)]
-    seq_c = [c.step(w, 9)[1] for _ in range(30)]
+    seq_a = ports(RandomWalk(9, seed=7, f=1))
+    seq_b = ports(RandomWalk(9, seed=7, f=1))
+    seq_c = ports(RandomWalk(9, seed=8, f=1))
     assert seq_a == seq_b
     assert seq_a != seq_c
     assert all(1 <= p <= 3 for p in seq_a)
 
 
 def test_lure_flips_its_claim_once_hunted():
-    class FakeStepper:
-        def __init__(self, tar):
-            self.state = type("S", (), {"tar": tar})()
-
     class World:
         x_n = 4
-        round = 1
-
-        def __init__(self):
-            self.hunter = FakeStepper(9)
+        round = 0
 
         def good_ids(self):
-            return [5]
-
-        def status(self, aid):
-            return 1
-
-        def position(self, aid):
-            return 0
-
-        def stepper(self, aid):
-            return self.hunter
+            return [12]
 
         def view_of(self, aid):
-            return view([entry(5), entry(9)]), None  # the hunter shares the lure's node
+            # The hunter shares the lure's node: a good agent above the
+            # lure's id that shows the lure's id as its target.
+            return view([entry(9), entry(12, tar=9)]), None
 
     lure = Lure(9, seed=0, f=1)
     world = World()
-    presented, _ = lure.step(world, 9)
+
+    def step():
+        world.round += 1
+        return lure.step(world, 9)[0]
+
+    presented = step()
     assert presented.tar == 9  # clean pose at first
-    presented, _ = lure.step(world, 9)  # second round of company: betrayal
+    presented = step()  # second round of company: betrayal
     assert presented is not None and presented.tar != 9
-    presented, _ = lure.step(world, 9)  # holds the flipped pose, no re-send
+    presented = step()  # holds the flipped pose, no re-send
     assert presented is None
 
 

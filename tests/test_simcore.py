@@ -736,19 +736,28 @@ FOUND_TARGET_IDS = [f"{v}-complete-n5-f1-k17-{s}-all_at_once-s0" for v in ("NS",
     f"{v}-complete-n5-f1-k17-lure-single_good_first-s0" for v in ("NS", "SIM")]
 
 
-def _found_target_cells():
+# Lure cells: at k = 38 and f = 2 hunters find the lure and it flips; in
+# the odd-seed sibling of each HOOK_CELLS lure cell its faulty id, 63, is
+# above every good id, so no good agent can hunt it.
+LURE_IDS = [f"{v}-random-connected-n5-f2-k38-lure-adversarial_stagger-s0" for v in ("NS", "SIM")] + [
+    f"{v}-random-tree-n5-f1-k16-lure-adversarial_stagger-s1" for v in ("NS", "SIM")]
+
+
+def _acceptance_cells(scenario_ids):
     from byzgather.harness import acceptance_matrix
 
     cells = {cfg.scenario_id: cfg for variant in ("NS", "SIM") for cfg in acceptance_matrix(variant)}
-    return [cells[sid] for sid in FOUND_TARGET_IDS]
+    return [cells[sid] for sid in scenario_ids]
 
 
 HOOK_CELLS = _hook_cells()
 WIDE_CELLS = _wide_cells()
 WALKER_CELLS = _walker_cells()
 SINGLE_NODE_CELLS = _single_node_cells()
-FOUND_TARGET_CELLS = _found_target_cells()
-LAZY_CELLS = HOOK_CELLS + WIDE_CELLS + WALKER_CELLS + SINGLE_NODE_CELLS + FOUND_TARGET_CELLS
+FOUND_TARGET_CELLS = _acceptance_cells(FOUND_TARGET_IDS)
+LURE_CELLS = _acceptance_cells(LURE_IDS)
+LAZY_CELLS = (HOOK_CELLS + WIDE_CELLS + WALKER_CELLS + SINGLE_NODE_CELLS + FOUND_TARGET_CELLS
+              + LURE_CELLS)
 
 
 def test_hook_cells_cover_both_variants_and_every_strategy():
@@ -769,6 +778,12 @@ def test_walker_cells_are_the_n10_baseline_cells_of_every_family():
         [("complete", 0), ("path", 0), ("ring", 0)]
         + [(fam, seed) for fam in ("random-connected", "random-tree") for seed in (0, 1, 2)])
     assert {(c.variant, c.f, len(c.ids), c.N) for c in WALKER_CELLS} == {("NS", 0, 4, 10)}
+
+
+def test_odd_seed_lure_cells_have_a_faulty_id_above_every_good_id():
+    for cfg in LURE_CELLS:
+        if cfg.f == 1:
+            assert cfg.byzantine_ids == (63,) and max(set(cfg.ids) - {63}) < 63
 
 
 @pytest.mark.parametrize("cfg", LAZY_CELLS, ids=[c.scenario_id for c in LAZY_CELLS])
@@ -896,3 +911,88 @@ def test_held_poses_are_stepped_once_per_faulty_wake(monkeypatch):
             woke += len(trace.byz_ids & trace.wake_round.keys())
     assert woke > 0
     assert calls == woke
+
+
+# World-fed step() calls on the random_walk and lure cells of HOOK_CELLS,
+# as measured with walks drawn in legs of 64 moves and hunters read from
+# the lure's view: 162 and 62 (10,279 each, one per simulated round of a
+# faulty agent, when both were stepped every round).  Step counts repeat
+# exactly, so a return to stepping every round fails here in seconds.
+GUARD_WORLD_STEPS = {"random_walk": 162, "lure": 62}
+
+
+def test_walkers_and_lures_are_stepped_within_the_guard(monkeypatch):
+    from byzgather import adversary, harness
+
+    calls = dict.fromkeys(GUARD_WORLD_STEPS, 0)
+    for cls in (adversary.RandomWalk, adversary.Lure):
+        def counting(self, world, agent_id, step=cls.step):
+            calls[self.name] += 1
+            return step(self, world, agent_id)
+
+        monkeypatch.setattr(cls, "step", counting)
+    for cfg in HOOK_CELLS:
+        if cfg.strategy in calls:
+            verdict, _ = harness.run_scenario(cfg)
+            assert verdict.ok
+    for name, limit in GUARD_WORLD_STEPS.items():
+        assert 0 < calls[name] <= limit
+
+
+def test_a_good_agent_targets_no_id_above_its_own(monkeypatch):
+    # Its target is its own id or the least id it collected and did not
+    # blacklist.  The lazy lure rests on this: only agents stepped after
+    # it in a round can hunt it.
+    from byzgather import gathering, harness
+
+    plan = gathering.GatheringAgent._plan
+    targeted = 0
+
+    def checked(self, slot):
+        nonlocal targeted
+        plan(self, slot)
+        tar = self.state.tar
+        assert tar is None or tar <= self.state.id
+        targeted += tar is not None
+
+    monkeypatch.setattr(gathering.GatheringAgent, "_plan", checked)
+    for cfg in HOOK_CELLS:
+        harness.run_scenario(cfg)
+    assert targeted > 0
+
+
+class _ClaimObserver(ScriptedAgent):
+    """Stays, and records the target that agent 1 shows in each round's view."""
+
+    def __init__(self):
+        super().__init__()
+        self.claims = []
+
+    def step(self, view_, entry_port):
+        self.claims.append(view_.states[view_.order.index(1)].tar)
+        return super().step(view_, entry_port)
+
+
+# A good hunter shows the lure's id as its target from its first step on.
+# "returns": it meets the lure in round 2, leaves, and stays with it from
+# round 5, so the lure's streak starts over and it flips in round 6 for a
+# stretch of X = 2 rounds; "halts": it terminates beside the lure in round
+# 2, and a halted agent hunts nobody.
+LURE_RUNS = {
+    "returns": ([1, 1, None, 1], [None, 1, 1, 1, 1, 1, 0, 0, 0, 1]),
+    "halts": ([1, TERMINATE], [None] + [1] * 9),
+}
+
+
+@pytest.mark.parametrize("engine_cls", [Engine, _EagerEngine], ids=["lazy", "eager"])
+@pytest.mark.parametrize("run", sorted(LURE_RUNS))
+def test_a_lure_flips_after_two_hunted_rounds_in_a_row(run, engine_cls):
+    from byzgather.adversary import Lure
+
+    actions, claims = LURE_RUNS[run]
+    hunter = ScriptedAgent(actions, presented(tar=1, il={2}))
+    hunter.presented_dirty = True
+    observer = _ClaimObserver()
+    engine_cls(two_node(), [AgentSpec(1, True, Lure(1, 0, 1), 0, 1), AgentSpec(2, False, hunter, 1, 1),
+                            AgentSpec(3, False, observer, 0, 1)], round_cap=10, x_n=2).run()
+    assert observer.claims == claims

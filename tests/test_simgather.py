@@ -1,7 +1,12 @@
 import copy
+from collections import Counter
+from itertools import chain
 
 from conftest import entry, seq_of, view
+from hypothesis import given
+from hypothesis import strategies as st
 
+from byzgather.adversary import IdInflator
 from byzgather.simcore import TERMINATE
 from byzgather.simgather import SimGatheringAgent, termination_threshold, trusted_max_id
 
@@ -36,6 +41,18 @@ def test_trusted_max_identical_lists():
 def test_trusted_max_none_when_nothing_qualifies():
     v = view([entry(4, il={4})])
     assert trusted_max_id(v, gef=3) is None
+
+
+# Id lists of up to 40 agents over the ids a run can show, the inflator's
+# fake id among them; a vote up to 45 asks more lists than a view holds.
+@given(st.lists(st.frozensets(st.integers(1, 64) | st.just(IdInflator.FAKE_ID), max_size=12),
+                max_size=40),
+       st.integers(0, 45))
+def test_trusted_max_matches_its_counting_definition(ils, gef):
+    v = view([entry(aid, il=il) for aid, il in enumerate(ils, 1)])
+    counts = Counter(chain.from_iterable(ils))
+    expected = max((aid for aid, c in counts.items() if c >= gef + 1), default=None)
+    assert trusted_max_id(v, gef) == expected
 
 
 def sim_agent(agent_id=5, x_n=4, r_i=100, estf=1):
