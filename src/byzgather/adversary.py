@@ -116,7 +116,7 @@ class RandomWalk(ByzantineStrategy):
             # A new leg from here.  Each offset gives back its port under the
             # walk rule; offset 0 is this step's own move, which the engine
             # does not read.  A degree-0 node (a one-node graph) has none.
-            adj, v, e, randint = world.graph._adj, world.position(agent_id), 1, self.rng.randint
+            adj, v, e, randint = world.graph.adj, world.position(agent_id), 1, self.rng.randint
             ports, offsets = [], []
             for _ in range(self.LEG):
                 row = adj[v]

@@ -81,7 +81,7 @@ def walk_visits(seq: ExplorationSequence, g: PortGraph, start: int) -> set[int]:
     if n == 1:
         return visited
     pos, entry = start, None
-    adj = g._adj
+    adj = g.adj
     for offset in seq.offsets:
         row = adj[pos]
         pos, entry = row[exit_port(offset, entry, len(row)) - 1]
@@ -110,18 +110,13 @@ def build_sequence(N: int, seed: int, benchmark_graphs: list[PortGraph]) -> Expl
     """Draw seeded random offsets and certify them against the benchmark set.
 
     Starts at ``max(4*N, 8)`` moves and doubles the length (with a fresh
-    draw) until every benchmark graph certifies from every start.  The
-    returned sequence's length is the concrete move count all phase
-    arithmetic uses.
+    draw) until every benchmark graph certifies from every start.
     """
     if N < 1:
         raise ExplorationError("bound N must be >= 1")
     for g in benchmark_graphs:
         if g.node_count > N:
             raise ExplorationError(f"benchmark graph {g!r} exceeds the bound N={N}")
-    if all(g.node_count == 1 for g in benchmark_graphs):
-        return ExplorationSequence((), N, seed)
-
     length = max(4 * N, 8)
     last_failure = CertResult(False)
     for attempt in range(MAX_ATTEMPTS):

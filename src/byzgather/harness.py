@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from .adversary import STRATEGY_NAMES, WAKE_POLICIES, make_strategy, wake_schedule
 from .exploration import ExplorationSequence, build_sequence, save_sequence
 from .gathering import cist_length
-from .portgraph import FAMILY_KINDS, GraphFamily, PortGraph, generate
+from .portgraph import FAMILY_KINDS, FAMILY_MIN_NODES, GraphFamily, PortGraph, generate
 from .simcore import STA_MG_TA, AgentSpec, Engine, Trace
 
 
@@ -126,10 +126,8 @@ class ScenarioConfig:
             out.append(f"unknown variant {self.variant!r}")
         if self.family not in FAMILY_KINDS:
             out.append(f"unknown graph family {self.family!r}")
-        if self.n < 1:
-            out.append("n must be >= 1")
-        if self.family == "ring" and self.n < 3:
-            out.append("ring needs n >= 3")
+        if self.n < (least := FAMILY_MIN_NODES.get(self.family, 1)):
+            out.append(f"{self.family} needs n >= {least}")
         if self.n > self.N:
             out.append(f"n={self.n} exceeds the walk bound N={self.N}")
         if len(set(self.ids)) != len(self.ids):
@@ -271,17 +269,10 @@ BENCHMARK_SEEDS = (0, 1, 2)
 
 
 def benchmark_families(N: int) -> list[GraphFamily]:
-    fams: list[GraphFamily] = []
-    if N == 1:
-        return [GraphFamily("path", 1, 0)]
-    if N == 2:
-        kinds = ("path", "complete", "random-tree", "random-connected")
-        return [GraphFamily(kind, 2, s) for kind in kinds for s in BENCHMARK_SEEDS]
-    for n in range(3, N + 1):
-        for kind in FAMILY_KINDS:
-            for s in BENCHMARK_SEEDS:
-                fams.append(GraphFamily(kind, n, s))
-    return fams
+    """Each family at each size from ``min(N, 3)`` to N where defined, per
+    seed: one move covers any graph of 1 or 2 nodes."""
+    return [GraphFamily(kind, n, s) for n in range(min(N, 3), N + 1) for kind in FAMILY_KINDS
+            if n >= FAMILY_MIN_NODES.get(kind, 1) for s in BENCHMARK_SEEDS]
 
 
 @functools.cache
@@ -675,7 +666,7 @@ def replay_trace_file(path: str) -> tuple[bool, str]:
 
 def _cmd_run(args) -> int:
     config = load_scenario(args.scenario)
-    if args.cap:
+    if args.cap is not None:
         config.round_cap = args.cap
     verdict, trace = run_scenario(config)
     print(f"{config.scenario_id}: {'PASS' if verdict.ok else 'FAIL'}")
@@ -707,7 +698,7 @@ def _cmd_suite(args) -> int:
     else:
         with open(name, "r", encoding="utf-8") as fh:
             configs = parse_matrix_text(fh.read())
-    if args.cap:
+    if args.cap is not None:
         for cfg in configs:
             cfg.round_cap = args.cap
     result = run_suite(configs, workers=args.workers)

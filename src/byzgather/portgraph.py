@@ -53,6 +53,9 @@ class InvalidFamilyParameters(GraphError):
 
 FAMILY_KINDS = ("ring", "complete", "path", "random-tree", "random-connected")
 
+#: Smallest node count of each family that needs more than one node.
+FAMILY_MIN_NODES = {"ring": 3, "complete": 2}
+
 
 @dataclass(frozen=True)
 class GraphFamily:
@@ -71,25 +74,25 @@ class PortGraph:
     concurrently running scenarios.
     """
 
-    __slots__ = ("node_count", "_adj")
+    __slots__ = ("node_count", "adj")
 
     def __init__(self, node_count: int, adj: Sequence[Sequence[tuple[int, int]]]):
         self.node_count = node_count
-        self._adj = tuple(tuple(row) for row in adj)
+        self.adj = tuple(tuple(row) for row in adj)
 
     def degree(self, v: int) -> int:
-        return len(self._adj[v])
+        return len(self.adj[v])
 
     def neighbor(self, v: int, p: int) -> tuple[int, int]:
         """Cross port ``p`` at node ``v``; returns (far node, entry port)."""
-        row = self._adj[v]
+        row = self.adj[v]
         if not 1 <= p <= len(row):
             raise PortOutOfRange(v, p, len(row))
         return row[p - 1]
 
     def fingerprint(self) -> tuple:
         """Canonical identity of the labeled graph, usable as a cache key."""
-        return (self.node_count, self._adj)
+        return (self.node_count, self.adj)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, PortGraph) and self.fingerprint() == other.fingerprint()
@@ -98,7 +101,7 @@ class PortGraph:
         return hash(self.fingerprint())
 
     def __repr__(self) -> str:
-        return f"PortGraph(n={self.node_count}, m={sum(map(len, self._adj)) // 2})"
+        return f"PortGraph(n={self.node_count}, m={sum(map(len, self.adj)) // 2})"
 
 
 def build(
@@ -157,8 +160,7 @@ def _unreached_node(g: PortGraph) -> int | None:
     while frontier:
         nxt = []
         for v in frontier:
-            for p in range(1, g.degree(v) + 1):
-                u, _ = g.neighbor(v, p)
+            for u, _ in g.adj[v]:
                 if u not in seen:
                     seen.add(u)
                     nxt.append(u)
@@ -178,20 +180,17 @@ def generate(family: GraphFamily) -> PortGraph:
     kind, n, seed = family.kind, family.node_count, family.seed
     if kind not in FAMILY_KINDS:
         raise InvalidFamilyParameters(f"unknown family kind {kind!r}")
-    if n < 1:
-        raise InvalidFamilyParameters("node count must be >= 1")
+    least = FAMILY_MIN_NODES.get(kind, 1)
+    if n < least:
+        raise InvalidFamilyParameters(f"{kind} needs at least {least} nodes")
 
     if kind == "ring":
-        if n < 3:
-            raise InvalidFamilyParameters("ring needs at least 3 nodes")
         edges = [(i, (i + 1) % n) for i in range(n)]
         return build(n, edges)
     if kind == "path":
         edges = [(i, i + 1) for i in range(n - 1)]
         return build(n, edges)
     if kind == "complete":
-        if n < 2:
-            raise InvalidFamilyParameters("complete graph needs at least 2 nodes")
         edges = [(u, v) for u in range(n) for v in range(u + 1, n)]
         return build(n, edges)
 

@@ -35,12 +35,11 @@ stepper is active, and either nobody walks or nobody is dormant and no
 active agent holds a predicate, the engine skips ahead to the next due
 round or scheduled wake (or past the round cap), moving each walker
 through the skipped rounds in one pass; no walker can then meet an agent
-that acts.  Every move lands through ``_land``.  A walk move is found in
-a neighbour table built once per engine; a stepped move goes through
-``PortGraph.neighbor``, which checks its port.  Lazy stepping is exact:
-a run exports the same trace as one that steps every agent in every
-round, which the tests check on pinned acceptance cells and on random
-small worlds.
+that acts.  Every move lands through ``_land``.  A walk move indexes
+``PortGraph.adj``; a stepped move goes through ``PortGraph.neighbor``,
+which checks its port.  Lazy stepping is exact: a run exports the same
+trace as one that steps every agent in every round, which the tests
+check on pinned acceptance cells and on random small worlds.
 
 A view costs what its readers use: its ``ids`` and its two columns,
 ``order`` (true ids in id order) and ``states`` (their presented
@@ -346,9 +345,6 @@ class Engine:
         self.presented: list[PresentedState | None] = [None] * len(specs)
         self.occupants: list[list[int]] = [[] for _ in range(graph.node_count)]
         self._degree = [graph.degree(v) for v in range(graph.node_count)]
-        # Per node, (far node, entry port) per port: where walk moves land.
-        self._nbr = [[graph.neighbor(v, p) for p in range(1, d + 1)]
-                     for v, d in enumerate(self._degree)]
         # A view's version is drawn from one clock when it is built, so a
         # version never repeats across nodes.  A node's cached view is
         # dropped where its composition or an occupant's presented state
@@ -451,25 +447,25 @@ class Engine:
     def _walk(self, r: int, moves: list[tuple[int, int, int]], stepped: list[int]) -> None:
         """Add round ``r``'s move of every walker not stepped in it to ``moves``;
         a stepped walker stops walking."""
-        walks, pos, entry, degree, nbr = self._walks, self.pos, self.entry, self._degree, self._nbr
+        walks, pos, entry, degree, adj = self._walks, self.pos, self.entry, self._degree, self.graph.adj
         for idx in walks.keys() & stepped:
             del walks[idx]
         for idx, (base, offsets) in walks.items():
             v = pos[idx]
-            u, q = nbr[v][exit_port(offsets[r - base], entry[idx], degree[v]) - 1]
+            u, q = adj[v][exit_port(offsets[r - base], entry[idx], degree[v]) - 1]
             moves.append((idx, u, q))
 
     def _walk_ahead(self, r: int, nxt: int) -> None:
         """Walk every walker through rounds ``r..nxt-1`` (nobody else acts or
         holds a predicate), logging each move but the last, which ``_land`` lands."""
-        pos, entry, degree, nbr, ids = self.pos, self.entry, self._degree, self._nbr, self.ids
+        pos, entry, degree, adj, ids = self.pos, self.entry, self._degree, self.graph.adj, self.ids
         log = self.trace.position_log
         moves = []
         for idx, (base, offsets) in self._walks.items():
             v, q = pos[idx], entry[idx]
             path = log[ids[idx]]
             for t in range(r, nxt):
-                v, q = nbr[v][exit_port(offsets[t - base], q, degree[v]) - 1]
+                v, q = adj[v][exit_port(offsets[t - base], q, degree[v]) - 1]
                 path.append((t + 1, v))
             path.pop()  # the last move is logged where it lands
             moves.append((idx, v, q))

@@ -1,6 +1,8 @@
 import hashlib
 
 import pytest
+from conftest import worlds
+from hypothesis import given, settings
 
 from byzgather.exploration import certify
 from byzgather.harness import (
@@ -135,10 +137,38 @@ def test_scenario_parse_error_is_not_a_scenario_error():
     (parse_matrix_text, "n = five\n"),
     (parse_matrix_text, "f = x\n"),
     (config_from_trace_text, "#cfg scenario_id = a\n"),
+    (parse_scenario_text, "family = complete\nn = 1\nk = 4\n"),
 ])
 def test_parsers_raise_only_documented_errors(parse, text):
     with pytest.raises((ParseError, InvalidScenario, GraphError)):
         parse(text)
+
+
+def _meets_contract(verdict) -> bool:
+    """Criteria 2-4: gathered, every lemma check holds, and the variant's
+    bound (NS on each agent's own clock, SIM on the global span, in one round)."""
+    if not (verdict.gathered and all(verdict.lemma_checks.values())):
+        return False
+    if verdict.config.variant == "NS":
+        return verdict.metrics["own_clock_rounds"] <= verdict.bound
+    return verdict.same_round is True and verdict.bound_satisfied
+
+
+def test_one_node_world_gathers_within_the_bound():
+    # With X_1 = 0 a phase was one round long and this run hit its round cap
+    # of 160 without terminating.
+    cfg = parse_scenario_text("variant = NS\nfamily = path\nn = 1\nN = 1\nids = 5 6 7 8\n"
+                              "strategy = crash\nwake_policy = single_good_first\nseed = 0\n")
+    verdict, trace = run_scenario(cfg)
+    assert not trace.capped
+    assert _meets_contract(verdict)
+
+
+@settings(max_examples=100, deadline=None)
+@given(worlds())
+def test_gathering_contract_holds_on_random_worlds(cfg):
+    verdict, _ = run_scenario(cfg)
+    assert _meets_contract(verdict), verdict
 
 
 def test_load_scenario_file(tmp_path):
@@ -284,6 +314,15 @@ def test_cli_suite_with_matrix_file(tmp_path, capsys):
     csv_text = (tmp_path / "suite.csv").read_text(encoding="utf-8")
     assert csv_text.splitlines()[0].startswith("scenario_id,")
     assert ",pass" in csv_text.splitlines()[1]
+
+
+def test_cli_cap_zero_is_rejected_not_ignored(tmp_path):
+    scenario = tmp_path / "s.txt"
+    scenario.write_text("family = path\nn = 4\nk = 4\nseed = 0\n", encoding="utf-8")
+    with pytest.raises(InvalidScenario, match="round_cap must be positive"):
+        main(["run", str(scenario), "--cap", "0"])
+    with pytest.raises(InvalidScenario, match="round_cap must be positive"):
+        main(["suite", "baseline-f0", "--cap", "0", "--workers", "1"])
 
 
 def test_cli_certify_and_run(tmp_path, capsys):

@@ -3,7 +3,7 @@ import hashlib
 import weakref
 
 import pytest
-from conftest import ScriptedAgent, presented
+from conftest import ScriptedAgent, presented, worlds
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -408,19 +408,23 @@ def test_run_is_deterministic_by_export():
 
 
 def test_degenerate_single_node_world():
-    # Engine plumbing only: one agent on one node runs a zero-move walk and
-    # idles through phases alone until the cap.
+    # Engine plumbing only: one agent on one node of degree 0 runs a walk of
+    # X_1 = 8 moves that cannot move, and idles through phases alone until
+    # the cap.
     from byzgather.exploration import build_sequence
     from byzgather.gathering import GatheringAgent
 
     g = build(1, [])
     seq = build_sequence(1, 0, [g])
+    assert seq.length == 8
     agent = GatheringAgent(1, seq)
-    trace = Engine(g, [AgentSpec(1, False, agent, 0, 1)], round_cap=25).run()
+    trace = Engine(g, [AgentSpec(1, False, agent, 0, 1)], round_cap=410).run()
     assert trace.capped
-    assert agent.state.count == 25
+    assert agent.state.count == 410
     assert trace.position_log[1] == [(1, 0)]
-    assert agent.state.end_ci  # six one-round collection phases fit in 25 rounds
+    # Id collection's six main phases, one in three, end the 16th phase of
+    # 25 rounds after the walk: round 8 + 16 * 25 = 408.
+    assert agent.state.end_ci
 
 
 def test_steppers_without_the_hook_are_stepped_every_round():
@@ -720,12 +724,20 @@ def _walker_cells():
 
 def _single_node_cells():
     # n = 1: the one node has degree 0, so a step that wait() answers with a
-    # walk did not move, and the engine must not make that walk.
+    # walk did not move, and the engine must not make that walk.  At N = 1
+    # the walk is X_1 = 8 moves long.  A scenario id does not name N, so
+    # those cells' ids end in "-N1".
     from byzgather.harness import parse_matrix_text
 
-    return [cfg for variant in ("NS", "SIM") for cfg in parse_matrix_text(
-        f"variant = {variant}\nn = 1\nN = 3\nfamilies = path\nf = 1\n"
-        "strategies = lure\nwake_policies = adversarial_stagger\nseeds = 0, 1, 2")]
+    cells = []
+    for N, suffix in ((3, ""), (1, "-N1")):
+        for variant in ("NS", "SIM"):
+            for cfg in parse_matrix_text(
+                    f"variant = {variant}\nn = 1\nN = {N}\nfamilies = path\nf = 1\n"
+                    "strategies = lure\nwake_policies = adversarial_stagger\nseeds = 0, 1, 2"):
+                cfg.scenario_id += suffix
+                cells.append(cfg)
+    return cells
 
 
 # Cells where a searcher finds a target that stands still and does not
@@ -797,34 +809,13 @@ def test_lazy_stepping_matches_stepping_every_round(cfg, monkeypatch):
     assert harness.export_trace_text(lazy, cfg) == harness.export_trace_text(eager, cfg)
 
 
-@st.composite
-def small_worlds(draw):
-    """A scenario on at most four nodes under a walk bound of at most four,
-    either variant, f <= 1 under either team rule, any strategy and wake
-    policy, sometimes capped early."""
-    from byzgather.adversary import STRATEGY_NAMES, WAKE_POLICIES
-    from byzgather.harness import (ScenarioConfig, default_agent_ids,
-                                   hypothesis_team_size, strict_team_size)
-
-    family = draw(st.sampled_from(["path", "ring", "complete", "random-tree", "random-connected"]))
-    n = draw(st.integers({"ring": 3, "complete": 2}.get(family, 1), 4))
-    f = draw(st.integers(0, 1))
-    rule = draw(st.sampled_from(["strict", "hypothesis"]))
-    seed = draw(st.integers(0, 5))
-    ids, byz = default_agent_ids((strict_team_size if rule == "strict" else hypothesis_team_size)(f),
-                                 f, seed)
-    return ScenarioConfig(
-        scenario_id="small", variant=draw(st.sampled_from(["NS", "SIM"])), family=family, n=n,
-        graph_seed=draw(st.integers(0, 3)), N=draw(st.integers(n, 4)), ids=ids, byzantine_ids=byz,
-        strategy=draw(st.sampled_from(STRATEGY_NAMES)), wake_policy=draw(st.sampled_from(WAKE_POLICIES)),
-        seed=seed, team_rule=rule, round_cap=draw(st.none() | st.integers(1, 400)))
-
-
 @settings(max_examples=60, deadline=None)
-@given(small_worlds())
-def test_lazy_stepping_matches_stepping_every_round_on_small_worlds(cfg):
+@given(worlds(max_n=4, max_N=4, max_f=1, explicit_ids=False), st.none() | st.integers(1, 400))
+def test_lazy_stepping_matches_stepping_every_round_on_small_worlds(cfg, round_cap):
+    # The drawn round cap also covers runs cut short.
     from byzgather import harness
 
+    cfg.round_cap = round_cap
     _, lazy = harness.run_scenario(cfg)
     engine = harness.Engine
     harness.Engine = _EagerEngine
