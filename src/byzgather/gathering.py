@@ -239,8 +239,8 @@ class GatheringAgent:
         A walk window names one up to rp 2X, and its look's predicate
         (``_wants``) as ``wants``; outside a walk, a plan's ``_watch`` is
         the only part that reads views between due counts, and ``wants``
-        is its predicate.  Each predicate is False on a view that shows
-        only the walker (the lone-view rule).
+        is its predicate.  Each reads only ``ids``, ``order`` and
+        ``states``, and is False on a view of the walker alone.
         """
         st, X, P = self.state, self.X, self.P
         c = st.count + 1

@@ -21,9 +21,9 @@ import sys
 from dataclasses import dataclass, field
 
 from .adversary import STRATEGY_NAMES, WAKE_POLICIES, make_strategy, wake_schedule
-from .exploration import ExplorationSequence, build_sequence, save_sequence
+from .exploration import ExplorationError, ExplorationSequence, build_sequence, save_sequence
 from .gathering import cist_length
-from .portgraph import FAMILY_KINDS, FAMILY_MIN_NODES, GraphFamily, PortGraph, generate
+from .portgraph import FAMILY_KINDS, FAMILY_MIN_NODES, GraphError, GraphFamily, PortGraph, generate
 from .simcore import STA_MG_TA, AgentSpec, Engine, Trace
 
 
@@ -762,7 +762,11 @@ def main(argv: list[str] | None = None) -> int:
     p_replay.set_defaults(fn=_cmd_replay)
 
     args = parser.parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except (ParseError, InvalidScenario, GraphError, ExplorationError, OSError) as exc:
+        print(f"byzgather: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -10,18 +10,20 @@ Stepping is lazy where a stepper allows it.  A stepper with a ``wait()``
 method, in either seat and either feed, is asked, right after each step
 that did not terminate, ``(due, wants, walk)``: ``due`` is the next own
 count that must be stepped (None: none is), ``wants(view)`` the
-predicate under which an earlier changed view acts (None: none does),
-and ``walk = (base, offsets)`` the moves it makes until then.  Each lazy
-agent has one record: its due round in a heap, its predicate, asked once
-per change of its node and once on the end-of-round view after a step
-that did not move, and, after a step that moved and named a walk, an
-entry in the walks.  The engine moves a walker itself, with no
-``step()`` call, each own count c through ``exit_port(offsets[c - base],
-entry, degree)``, until its due round or until ``wants`` holds.  A
-walker's node changes every round, so its predicate is asked every
-round; by the lone-view rule it is False on a view that shows only the
-walker, so a lone walker costs one move per round and no view.  The rule
-is for walkers only: a watcher's predicate may hold on its own changed
+predicate, reading only the view's ``ids``, ``order`` and ``states``,
+under which an earlier changed view acts (None: none does), and ``walk
+= (base, offsets)`` the moves it makes until then.  Each lazy agent has
+one record: its due round in a heap, its predicate, asked once per
+change of its node and once on the end-of-round view after a step that
+did not move, and, after a step that moved and named a walk, a convoy:
+the walkers on one node, entered through one port, on one walk (one
+``base``, one ``offsets`` object).  The engine moves a convoy itself,
+with no ``step()`` call, each round r through ``exit_port(offsets[r -
+base], entry, degree)``; a member leaves it when stepped, at its due
+round or where ``wants`` holds.  Unstepped members show fixed states, so
+all views of a convoy alone are alike: by the convoy-view rule their
+predicates are asked on one such view after the members change, never
+for a convoy of one.  A watcher's predicate may hold on its own changed
 view.  An id collector's predicate is an ``UnknownId``; once its known
 ids hold every id of the run it can never hold, and the engine stores
 None instead (the id horizon).  A held pose answers ``(None, None,
@@ -33,18 +35,13 @@ round.
 When a round changes nothing, no visit is pending, no every-round
 stepper is active, and either nobody walks or nobody is dormant and no
 active agent holds a predicate, the engine skips ahead to the next due
-round or scheduled wake (or past the round cap), moving each walker
+round or scheduled wake (or past the round cap), moving each convoy
 through the skipped rounds in one pass; no walker can then meet an agent
 that acts.  Every move lands through ``_land``.  A walk move indexes
 ``PortGraph.adj``; a stepped move goes through ``PortGraph.neighbor``,
 which checks its port.  Lazy stepping is exact: a run exports the same
 trace as one that steps every agent in every round, which the tests
 check on pinned acceptance cells and on random small worlds.
-
-A view costs what its readers use: its ``ids`` and its two columns,
-``order`` (true ids in id order) and ``states`` (their presented
-states), are taken with it, and ``view.memo`` holds values derived from
-it that every co-located reader would otherwise recompute.
 
 The engine is protocol-agnostic, and the stepper, not the seat, picks
 how it is called.  A protocol stepper (one with ``build_presented()``)
@@ -122,12 +119,10 @@ class ObservationView:
     ``version`` is drawn when the view is built, from a clock shared by
     all nodes, so two views never share one; the engine builds a new view
     only after the node's composition or an occupant's presented state
-    changed.  The entry port is per-agent and passed to steppers
-    separately.
+    changed.
 
     ``memo`` holds values derived from the view, keyed by name, so that
-    co-located readers compute each once: ``memo.get(key)``, and on a
-    miss compute and store it.
+    co-located readers compute each once.
     """
 
     __slots__ = ("degree", "order", "states", "ids", "version", "memo")
@@ -158,6 +153,20 @@ class UnknownId:
 
     def __call__(self, view: ObservationView) -> bool:
         return not view.ids <= self.known
+
+
+class _Convoy:
+    """Walkers that move alike (see the module doc), ``members`` in id
+    order; ``quiet``: no predicate held on a view of them alone since the
+    members last changed."""
+
+    __slots__ = ("base", "offsets", "members", "quiet")
+
+    def __init__(self, base: int, offsets, idx: int):
+        self.base = base
+        self.offsets = offsets
+        self.members = [idx]
+        self.quiet = False
 
 
 class AgentSpec(NamedTuple):
@@ -307,13 +316,13 @@ class WorldView:
 class Engine:
     """Runs one scenario round-by-round, producing a deterministic Trace.
 
-    Active steppers without ``wait()``, ``estf_liar`` and test doubles,
-    sit in a sorted list stepped every round, not in the due heap: a heap
-    entry pushed and popped every round measured slower (median CPU per
-    ``adversarial-mix`` pass 5.5 s with the list, 5.7 to 6.1 s with the
-    heap, on a 2-vCPU host).  ``estf_liar`` flips its pose with the
-    round's parity, and every co-located watcher may read the flip in the
-    next round, so each of its rounds acts.
+    Active steppers without ``wait()`` (``estf_liar``, test doubles) sit
+    in a sorted list stepped every round, which measured faster than a
+    heap entry per round; a watcher may read each of ``estf_liar``'s
+    parity flips, so each of its rounds acts.
+
+    A convoy moves as one: one ``exit_port`` call, one landing, and one
+    ``(round, node)`` log tuple shared by its members.
 
     The ``WorldView`` handed to world-fed strategies lives only as long
     as ``run()``, so an engine is in no reference cycle and is freed by
@@ -364,8 +373,9 @@ class Engine:
         # Per lazy agent, the predicate its last wait() answered; None for
         # every other agent and once an agent has terminated: no change wakes it.
         self._watch: list = [None] * len(specs)
-        # Walkers, agent -> (round of offset 0, offsets); see the module doc.
-        self._walks: dict[int, tuple] = {}
+        # Walkers, agent -> its convoy, and the convoys in forming order.
+        self._walks: dict[int, _Convoy] = {}
+        self._convoys: dict[_Convoy, None] = {}
         self._dirty: set[int] = set()  # nodes changed since the last _changed()
         self._dormant = list(range(len(specs)))
         self._good_left = len(good)
@@ -426,64 +436,112 @@ class Engine:
         """Active lazy agents on nodes changed since the last call whose predicate holds.
 
         Each predicate is asked on the node's current view, built at most
-        once per node; a lone walker's is not asked (the lone-view rule).
+        once per node; on a view of one convoy alone, none is asked if the
+        convoy is quiet or has one member (the convoy-view rule).
         """
         changed: set[int] = set()
         watch, walks = self._watch, self._walks
         for node in self._dirty:
             occ = self.occupants[node]
+            convoy = walks.get(occ[0]) if occ else None
+            if convoy is not None:
+                if len(convoy.members) != len(occ):
+                    convoy = None
+                elif convoy.quiet or len(occ) == 1:
+                    continue
             view = None
+            quiet = True
             for j in occ:
                 w = watch[j]
-                if w is None or (len(occ) == 1 and j in walks):
+                if w is None:
                     continue
                 if view is None:
                     view = self.node_view(node)
                 if w(view):
                     changed.add(j)
+                    quiet = False
+            if convoy is not None:
+                convoy.quiet = quiet
         self._dirty.clear()
         return changed
 
-    def _walk(self, r: int, moves: list[tuple[int, int, int]], stepped: list[int]) -> None:
-        """Add round ``r``'s move of every walker not stepped in it to ``moves``;
-        a stepped walker stops walking."""
-        walks, pos, entry, degree, adj = self._walks, self.pos, self.entry, self._degree, self.graph.adj
+    def _join(self, idx: int, base: int, offsets) -> None:
+        """Put ``idx``, which just moved onto its walk, in its convoy."""
+        walks, entry = self._walks, self.entry
+        q = entry[idx]
+        for j in self.occupants[self.pos[idx]]:
+            convoy = walks.get(j)
+            if convoy is not None and convoy.offsets is offsets and convoy.base == base and entry[j] == q:
+                insort(convoy.members, idx)
+                convoy.quiet = False
+                break
+        else:
+            convoy = _Convoy(base, offsets, idx)
+            self._convoys[convoy] = None
+        walks[idx] = convoy
+
+    def _walk(self, r: int, moves: list[tuple], stepped: list[int]) -> None:
+        """Add round ``r``'s move of every convoy to ``moves``; a stepped
+        walker first leaves its convoy."""
+        walks, convoys = self._walks, self._convoys
         for idx in walks.keys() & stepped:
-            del walks[idx]
-        for idx, (base, offsets) in walks.items():
-            v = pos[idx]
-            u, q = adj[v][exit_port(offsets[r - base], entry[idx], degree[v]) - 1]
-            moves.append((idx, u, q))
+            convoy = walks.pop(idx)
+            convoy.members.remove(idx)
+            convoy.quiet = False
+            if not convoy.members:
+                del convoys[convoy]
+        pos, entry, degree, adj = self.pos, self.entry, self._degree, self.graph.adj
+        for convoy in convoys:
+            j = convoy.members[0]
+            v = pos[j]
+            u, q = adj[v][exit_port(convoy.offsets[r - convoy.base], entry[j], degree[v]) - 1]
+            moves.append((convoy.members, u, q))
 
     def _walk_ahead(self, r: int, nxt: int) -> None:
-        """Walk every walker through rounds ``r..nxt-1`` (nobody else acts or
+        """Walk every convoy through rounds ``r..nxt-1`` (nobody else acts or
         holds a predicate), logging each move but the last, which ``_land`` lands."""
         pos, entry, degree, adj, ids = self.pos, self.entry, self._degree, self.graph.adj, self.ids
         log = self.trace.position_log
         moves = []
-        for idx, (base, offsets) in self._walks.items():
-            v, q = pos[idx], entry[idx]
-            path = log[ids[idx]]
+        for convoy in self._convoys:
+            members, base, offsets = convoy.members, convoy.base, convoy.offsets
+            v, q = pos[members[0]], entry[members[0]]
+            path = []
             for t in range(r, nxt):
                 v, q = adj[v][exit_port(offsets[t - base], q, degree[v]) - 1]
                 path.append((t + 1, v))
             path.pop()  # the last move is logged where it lands
-            moves.append((idx, v, q))
+            for idx in members:
+                log[ids[idx]].extend(path)
+            moves.append((members, v, q))
         self._land(moves, nxt - 1)
 
-    def _land(self, moves: list[tuple[int, int, int]], r: int) -> None:
-        """Apply round ``r``'s moves, (agent, far node, entry port) each."""
+    def _land(self, moves: list[tuple], r: int) -> None:
+        """Apply round ``r``'s moves, (co-located agents in id order, far node,
+        entry port) each."""
         pos, entry, occupants, dirty, view_cache, log, ids = self._landing
-        for idx, u, q in moves:
-            old = pos[idx]
-            occupants[old].remove(idx)
-            insort(occupants[u], idx)
+        for group, u, q in moves:
+            old = pos[group[0]]
+            at = (r + 1, u)
+            if len(group) == 1:
+                occupants[old].remove(group[0])
+                insort(occupants[u], group[0])
+            else:
+                here = occupants[old]
+                if len(here) == len(group):
+                    here.clear()
+                else:
+                    gone = set(group)
+                    occupants[old] = [j for j in here if j not in gone]
+                there = occupants[u]
+                occupants[u] = sorted(there + group) if there else list(group)
             dirty.add(old)
             dirty.add(u)
             view_cache[old] = view_cache[u] = None
-            pos[idx] = u
-            entry[idx] = q
-            log[ids[idx]].append((r + 1, u))
+            for idx in group:
+                pos[idx] = u
+                entry[idx] = q
+                log[ids[idx]].append(at)
 
     def _to_step(self, r: int, changed: set[int]) -> list[int]:
         """Active agents stepped in round ``r``, in id order."""
@@ -540,7 +598,8 @@ class Engine:
                 pending_visit = []
 
             terminations: list[int] = []
-            moves: list[tuple[int, int, int]] = []  # (agent, far node, entry port)
+            moves: list[tuple] = []  # (agents, far node, entry port)
+            starts: list[tuple] = []  # (agent, base round, offsets) of new walks
             pres_updates: list[tuple[int, PresentedState]] = []
             due = self._due
             if changed or dirty or self._every or (due and due[0][0] <= r):
@@ -584,7 +643,7 @@ class Engine:
                     pres_updates.append((idx, new_presented))
                 else:
                     u, q = neighbor(pos[idx], action)
-                    moves.append((idx, u, q))
+                    moves.append(((idx,), u, q))
                 if lazy[idx] and action is not TERMINATE:
                     count, wants, walk = stepper.wait()
                     if isinstance(wants, UnknownId) and all_ids <= wants.known:
@@ -598,7 +657,7 @@ class Engine:
                             # even where nothing on the node changes.
                             dirty.add(pos[idx])
                     elif walk is not None:
-                        walks[idx] = (walk[0] + shift, walk[1])
+                        starts.append((idx, walk[0] + shift, walk[1]))
 
             for idx in terminations:
                 status[idx] = TERMINATED
@@ -611,6 +670,8 @@ class Engine:
 
             if moves:
                 land(moves, r)
+            for idx, base, offsets in starts:
+                self._join(idx, base, offsets)
 
             for idx, p in pres_updates:
                 presented[idx] = p

@@ -739,6 +739,31 @@ def assert_leg_moves_until(agent, leg, quiet, meeting):
             or snapshot(twin) != before)
 
 
+_FEW_IDS = st.integers(1, 6)
+
+
+@st.composite
+def _walker_views(draw):
+    """Entries of a view: a few agents in any role, group and target."""
+    return [entry(aid, sta=draw(st.sampled_from(["S_CI", "S_MG_TA", "S_G_EG", "S_G_WG"])),
+                  gid=draw(st.none() | _FEW_IDS), tar=draw(st.none() | _FEW_IDS))
+            for aid in draw(st.lists(_FEW_IDS, unique=True, max_size=5))]
+
+
+@given(_walker_views(), st.integers(0, 4), st.integers(0, 4), _FEW_IDS, st.sets(_FEW_IDS),
+       st.sets(st.tuples(_FEW_IDS, _FEW_IDS)), st.integers(0, 2), _FEW_IDS)
+def test_walk_predicates_read_no_degree(entries, d1, d2, own, known, pairs, estf, target):
+    # The engine asks a convoy's predicates once on the view of the convoy
+    # alone; the next such view shows the same agents on a node of any degree.
+    agent = fresh_agent(agent_id=own)
+    state = agent.state
+    state.il, state.gl, state.estf, state.tar = known | {own}, pairs, estf, target
+    agent._group = target
+    for wants in (UnknownId(state.il), agent._meets_new_pairs, agent._meets_target,
+                  agent._waiting_group_here):
+        assert wants(view(entries, degree=d1)) == wants(view(entries, degree=d2))
+
+
 def test_initial_walk_is_one_leg_with_no_predicate():
     agent = fresh_agent(offsets=LEG_OFFSETS)
     agent.step(lone(agent), None)

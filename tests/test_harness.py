@@ -316,13 +316,29 @@ def test_cli_suite_with_matrix_file(tmp_path, capsys):
     assert ",pass" in csv_text.splitlines()[1]
 
 
-def test_cli_cap_zero_is_rejected_not_ignored(tmp_path):
+def test_cli_cap_zero_is_rejected_not_ignored(tmp_path, capsys):
     scenario = tmp_path / "s.txt"
     scenario.write_text("family = path\nn = 4\nk = 4\nseed = 0\n", encoding="utf-8")
-    with pytest.raises(InvalidScenario, match="round_cap must be positive"):
-        main(["run", str(scenario), "--cap", "0"])
-    with pytest.raises(InvalidScenario, match="round_cap must be positive"):
-        main(["suite", "baseline-f0", "--cap", "0", "--workers", "1"])
+    for argv in (["run", str(scenario), "--cap", "0"],
+                 ["suite", "baseline-f0", "--cap", "0", "--workers", "1"]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("byzgather: error: invalid scenario: ")
+        assert "round_cap must be positive" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["run", "{dir}/no-k.txt"], "scenario needs either 'ids' or 'k'"),
+    (["replay", "{dir}/no-cfg.trace"], "trace file carries no embedded scenario"),
+    (["run", "{dir}/missing.txt"], "No such file or directory"),
+], ids=["scenario-without-k", "trace-without-cfg", "missing-file"])
+def test_cli_input_errors_end_in_one_line(tmp_path, capsys, argv, message):
+    (tmp_path / "no-k.txt").write_text("family = path\nn = 4\nseed = 0\n", encoding="utf-8")
+    (tmp_path / "no-cfg.trace").write_text("1,2,wake,0\n", encoding="utf-8")
+    assert main([a.format(dir=tmp_path) for a in argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("byzgather: error: ") and message in err and err.count("\n") == 1
 
 
 def test_cli_certify_and_run(tmp_path, capsys):

@@ -7,6 +7,7 @@ from conftest import ScriptedAgent, presented, worlds
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from byzgather.exploration import exit_port
 from byzgather.portgraph import GraphFamily, PortOutOfRange, build, generate
 from byzgather.gathering import schedule_slot
 from byzgather.simcore import (ACTIVE, TERMINATE, TERMINATED, AgentSpec, Engine, UnknownId,
@@ -546,6 +547,63 @@ def test_a_walker_is_stepped_only_where_its_leg_meets_an_unknown_id():
     assert [c for c in stepped if c in leg] == meets[:1]
 
 
+class _ConvoyWalker:
+    """A protocol stepper with the wait() hook: it walks ``offsets`` from its
+    wake round on, watching with a predicate that logs each ask in
+    ``asked`` and never holds, and then stays."""
+
+    def __init__(self, offsets):
+        self.state = type("S", (), {"count": 0})()
+        self.events = []
+        self.presented_dirty = False
+        self.terminated = False
+        self.offsets = offsets
+        self.asked = []
+
+    def step(self, view_, entry_port):
+        c = self.state.count = self.state.count + 1
+        if c > len(self.offsets):
+            return None
+        return exit_port(self.offsets[c - 1], None if c == 1 else entry_port, view_.degree)
+
+    def wait(self):
+        if self.state.count >= len(self.offsets):
+            return None, None, None
+        return len(self.offsets) + 1, self.wants, (1, self.offsets)
+
+    def wants(self, view_):
+        self.asked.append(tuple(view_.order))
+        return False
+
+    def build_presented(self):
+        return presented(terminated=self.terminated)
+
+
+def test_walkers_on_one_walk_move_as_a_convoy_asked_once_alone():
+    # Agents 1 and 2 wake on node 0 and walk one offsets object in step,
+    # so the engine moves them as one convoy.  A view of the convoy alone
+    # shows the same agents and states each round: their predicates are
+    # asked on the first such view only, and again on each view that also
+    # shows agent 3.
+    offsets = (0, 1, 0, 0, 1, 1, 0, 1, 0, 0)
+    walkers = {aid: _ConvoyWalker(offsets) for aid in (1, 2)}
+
+    def specs(walker_of):
+        return [AgentSpec(aid, False, walker_of(aid), 0, 1) for aid in (1, 2)] + [
+            AgentSpec(3, False, ScriptedAgent(), 2, 1)]
+
+    g = build(3, [(0, 1), (1, 2)])
+    lazy = Engine(g, specs(walkers.get), round_cap=12).run()
+    eager = _EagerEngine(g, specs(lambda aid: _ConvoyWalker(offsets)), round_cap=12).run()
+    assert lazy.position_log == eager.position_log
+    met = [r for r in range(2, len(offsets) + 2) if lazy.node_at(1, r) == 2]
+    assert met and lazy.position_log[1] == lazy.position_log[2]
+    for walker in walkers.values():
+        assert walker.asked.count((1, 2)) == 1
+        assert walker.asked.count((1, 2, 3)) == len(met)
+        assert len(walker.asked) == 1 + len(met)
+
+
 def test_finished_engine_is_freed_without_the_cycle_collector():
     from byzgather.adversary import make_strategy
     from byzgather.exploration import build_sequence
@@ -755,6 +813,11 @@ LURE_IDS = [f"{v}-random-connected-n5-f2-k38-lure-adversarial_stagger-s0" for v 
     f"{v}-random-tree-n5-f1-k16-lure-adversarial_stagger-s1" for v in ("NS", "SIM")]
 
 
+# Convoys of up to 29 agents form where all 38 wake at once, and the
+# faulty honest stepper walks inside them.
+CONVOY_IDS = [f"{v}-random-connected-n5-f2-k38-mimic_good-all_at_once-s0" for v in ("NS", "SIM")]
+
+
 def _acceptance_cells(scenario_ids):
     from byzgather.harness import acceptance_matrix
 
@@ -768,8 +831,9 @@ WALKER_CELLS = _walker_cells()
 SINGLE_NODE_CELLS = _single_node_cells()
 FOUND_TARGET_CELLS = _acceptance_cells(FOUND_TARGET_IDS)
 LURE_CELLS = _acceptance_cells(LURE_IDS)
+CONVOY_CELLS = _acceptance_cells(CONVOY_IDS)
 LAZY_CELLS = (HOOK_CELLS + WIDE_CELLS + WALKER_CELLS + SINGLE_NODE_CELLS + FOUND_TARGET_CELLS
-              + LURE_CELLS)
+              + LURE_CELLS + CONVOY_CELLS)
 
 
 def test_hook_cells_cover_both_variants_and_every_strategy():
@@ -879,6 +943,45 @@ def test_round_loop_iterations_stay_within_the_guard(monkeypatch):
         verdict, _ = harness.run_scenario(cfg)
         assert verdict.ok
     assert sum(e.rounds_processed for e in engines) <= GUARD_LOOPS
+
+
+# Predicate asks summed over the n = 10 baseline cells, where agents that
+# met walk on together: 10,145 with each convoy asked once per change of
+# its members on views of it alone (36,513 when each walker sharing its
+# node was asked every round).  Ask counts repeat exactly, so a lost
+# convoy-view rule fails here in seconds.
+GUARD_ASKS = 10_145
+
+
+def test_predicate_asks_stay_within_the_guard(monkeypatch):
+    from byzgather import harness
+
+    asks = 0
+
+    class Counted(list):
+        """A watch list whose predicates count each ask."""
+
+        def __getitem__(self, i):
+            wants = super().__getitem__(i)
+            if wants is None:
+                return None
+
+            def asked(view_):
+                nonlocal asks
+                asks += 1
+                return wants(view_)
+            return asked
+
+    class Recorded(Engine):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self._watch = Counted(self._watch)
+
+    monkeypatch.setattr(harness, "Engine", Recorded)
+    for cfg in WALKER_CELLS:
+        verdict, _ = harness.run_scenario(cfg)
+        assert verdict.ok
+    assert 0 < asks <= GUARD_ASKS
 
 
 def test_held_poses_are_stepped_once_per_faulty_wake(monkeypatch):
