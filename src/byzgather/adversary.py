@@ -11,16 +11,11 @@ at least one good agent wakes in round 1.
 
 from __future__ import annotations
 
+import functools
 import random
 
 from .gathering import GatheringAgent
-from .simcore import (
-    STA_G_WG,
-    STA_MG_SA,
-    STA_MG_TA,
-    PresentedState,
-    WorldView,
-)
+from .simcore import STA_G_WG, STA_MG_SA, STA_MG_TA, PresentedState, WorldView
 from .simgather import SimGatheringAgent
 
 
@@ -30,16 +25,8 @@ class InvalidPolicy(ValueError):
 
 WAKE_POLICIES = ("all_at_once", "single_good_first", "adversarial_stagger")
 
-STRATEGY_NAMES = (
-    "crash",
-    "random_walk",
-    "fake_target",
-    "lure",
-    "fake_group",
-    "estf_liar",
-    "id_inflator",
-    "mimic_good",
-)
+#: The id ``id_inflator`` claims to have met; no scenario assigns it.
+FAKE_ID = 1_000_003
 
 
 def wake_schedule(policy: str, agent_ids: list[int], byzantine_ids: set[int],
@@ -64,28 +51,33 @@ def wake_schedule(policy: str, agent_ids: list[int], byzantine_ids: set[int],
 
 
 class ByzantineStrategy:
-    """Base stepper for faulty agents: stationary, frozen presented state."""
-
-    name = "crash"
+    """Base of the world-fed steppers for faulty agents, each answering
+    ``step(world, agent_id) -> (presented, action)``."""
 
     def __init__(self, agent_id: int, seed: int, f: int):
         self.agent_id = agent_id
         self.f = f
 
-    def step(self, world: WorldView, agent_id: int):
-        return None, None
-
 
 class HeldPose(ByzantineStrategy):
     """Shows one pose from its wake round on and never moves: never due
-    again, no watch, no walk, so it is stepped in its wake round only."""
+    again, no watch, no walk, so it is stepped in its wake round only.
+
+    The pose is ``pose(agent_id, f)``; without one the agent keeps the
+    state it woke with, which is a crash.
+    """
+
+    name = "crash"
+
+    def __init__(self, agent_id, seed, f, pose=None):
+        super().__init__(agent_id, seed, f)
+        self._pose = None if pose is None else pose(agent_id, f)
+
+    def step(self, world: WorldView, agent_id: int):
+        return self._pose, None
 
     def wait(self):
         return None, None, None
-
-
-class Crash(HeldPose):
-    name = "crash"
 
 
 class RandomWalk(ByzantineStrategy):
@@ -137,17 +129,19 @@ class RandomWalk(ByzantineStrategy):
 
 
 def _target_pose(agent_id: int, f: int) -> PresentedState:
-    """A waiting group-making target that claims itself."""
+    """A waiting group-making target that claims itself: ``fake_target``
+    holds it forever, hoping to be adopted, and ``lure`` shows it while clean."""
     return PresentedState(STA_MG_TA, True, True, f, agent_id, None, frozenset((agent_id,)), False, False)
 
 
-class FakeTarget(HeldPose):
-    """Poses as a waiting group-making target forever, hoping to be adopted."""
+def _group_pose(agent_id: int, f: int) -> PresentedState:
+    """``fake_group`` advertises membership in a nonexistent group with the smallest possible id."""
+    return PresentedState(STA_G_WG, True, False, f, None, 0, frozenset((agent_id,)), True, False)
 
-    name = "fake_target"
 
-    def step(self, world, agent_id):
-        return _target_pose(self.agent_id, self.f), None
+def _inflated_pose(agent_id: int, f: int) -> PresentedState:
+    """``id_inflator`` claims to have met an enormous id, attacking the trusted-maximum vote."""
+    return PresentedState(STA_MG_SA, True, True, f, None, None, frozenset((agent_id, FAKE_ID)), True, False)
 
 
 class Lure(ByzantineStrategy):
@@ -214,17 +208,6 @@ class Lure(ByzantineStrategy):
         return None, self._hunted, None
 
 
-class FakeGroup(HeldPose):
-    """Advertises membership in a nonexistent group with the smallest possible id."""
-
-    name = "fake_group"
-
-    def step(self, world, agent_id):
-        presented = PresentedState(STA_G_WG, True, False, self.f, None, 0,
-                                   frozenset((self.agent_id,)), True, False)
-        return presented, None
-
-
 class EstfLiar(ByzantineStrategy):
     """Swings its presented fault estimate between extremes every round to skew votes."""
 
@@ -243,22 +226,18 @@ class EstfLiar(ByzantineStrategy):
         return presented, None
 
 
-class IdInflator(HeldPose):
-    """Claims to have met an enormous id, attacking the trusted-maximum vote."""
-
-    name = "id_inflator"
-    FAKE_ID = 1_000_003
-
-    def step(self, world, agent_id):
-        presented = PresentedState(STA_MG_SA, True, True, self.f, None, None,
-                                   frozenset((self.agent_id, self.FAKE_ID)), True, False)
-        return presented, None
-
-
+#: Each world-fed strategy's constructor, by name; a held pose is a row.
 _STRATEGIES = {
-    cls.name: cls
-    for cls in (Crash, RandomWalk, FakeTarget, Lure, FakeGroup, EstfLiar, IdInflator)
+    "crash": HeldPose,
+    "random_walk": RandomWalk,
+    "fake_target": functools.partial(HeldPose, pose=_target_pose),
+    "lure": Lure,
+    "fake_group": functools.partial(HeldPose, pose=_group_pose),
+    "estf_liar": EstfLiar,
+    "id_inflator": functools.partial(HeldPose, pose=_inflated_pose),
 }
+
+STRATEGY_NAMES = (*_STRATEGIES, "mimic_good")
 
 
 def make_strategy(name: str, agent_id: int, seed: int, f: int, *,

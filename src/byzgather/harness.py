@@ -18,6 +18,7 @@ import multiprocessing
 import os
 import random
 import sys
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .adversary import STRATEGY_NAMES, WAKE_POLICIES, make_strategy, wake_schedule
@@ -192,6 +193,10 @@ def default_agent_ids(k: int, f: int, seed: int) -> tuple[tuple[int, ...], tuple
 # one grammar: "key = value" lines, read by _read_fields and turned into a
 # validated ScenarioConfig by _config.
 
+#: Keys of the grammar: the config's fields, plus k and f to draw ids from.
+_KEYS = {*ScenarioConfig.__dataclass_fields__, "k", "f"}
+
+
 def _read_fields(lines) -> dict[str, str]:
     fields = {}
     for lineno, line in enumerate(lines, 1):
@@ -216,7 +221,7 @@ def _config(fields: dict[str, str], draw_ids=default_agent_ids) -> ScenarioConfi
     """Validated scenario from string fields; unset optional fields take defaults.
 
     Ids are listed in ``ids`` (and ``byzantine_ids``), or drawn by
-    ``draw_ids`` from ``k``, ``f`` and the seed.
+    ``draw_ids`` from ``k``, ``f`` and the seed.  Any other key is a ParseError.
     """
     def num(key, default=None):
         value = fields.get(key)
@@ -225,6 +230,9 @@ def _config(fields: dict[str, str], draw_ids=default_agent_ids) -> ScenarioConfi
     def id_list(key):
         return tuple(_int(key, tok) for tok in fields.get(key, "").replace(",", " ").split())
 
+    unknown = sorted(fields.keys() - _KEYS)
+    if unknown:
+        raise ParseError(f"unknown key {', '.join(map(repr, unknown))}")
     seed = num("seed", 0)
     if "ids" in fields:
         ids, byz = id_list("ids"), id_list("byzantine_ids")
@@ -381,60 +389,55 @@ def check(trace: Trace, config: ScenarioConfig) -> Verdict:
     f = config.f
     X, P = trace.x_n, trace.p_n
 
-    term = {aid: rn for aid, (rn, _) in trace.termination.items() if aid in good}
-    last_term = trace.last_good_termination()
-    all_term = last_term is not None
-    final_nodes = {trace.termination[aid][1] for aid in term}
-    gathered = all_term and len(final_nodes) == 1
-    same_round: bool | None = None
-    if config.variant == "SIM":
-        same_round = all_term and len(set(term.values())) == 1
-
-    first_wake = trace.first_good_wake()
-    measured = (last_term - first_wake) if (all_term and first_wake is not None) else None
-    own_clock = max(rn - trace.wake_round[aid] for aid, rn in term.items()) if all_term else None
-    if config.variant == "NS":
-        bound = theorem1_bound(X, f, config.lambda_good)
-    else:
-        bound = theorem2_bound(X, f, config.lambda_all)
-    bound_satisfied = bool(gathered and measured is not None and measured <= bound)
+    wake = {aid: r for aid, r in trace.wake_round.items() if aid in good}
+    term = {aid: rn for aid, (rn, _) in trace.termination.items()}  # good agents only
+    all_term = len(term) == len(good)
+    first_wake = min(wake.values(), default=None)
+    wake_spread = None if first_wake is None else max(wake.values()) - first_wake
+    last_term = max(term.values()) if all_term else None
+    gathered = all_term and len({node for _, node in trace.termination.values()}) == 1
+    same_round = (all_term and len(set(term.values())) == 1) if config.variant == "SIM" else None
+    # A good agent that terminated has woken, so these are set whenever all_term is.
+    measured = last_term - first_wake if all_term else None
+    own_clock = max(rn - wake[aid] for aid, rn in term.items()) if all_term else None
+    bound = (theorem1_bound(X, f, config.lambda_good) if config.variant == "NS"
+             else theorem2_bound(X, f, config.lambda_all))
+    bound_satisfied = bool(gathered and measured <= bound)
 
     end_ci = {aid: (r, payload[0], payload[1]) for r, aid, payload in trace.events_of("end_ci")}
     roles = {aid: payload for _, aid, payload in trace.events_of("mgst_role")}
     bl_adds = trace.events_of("bl_add")
     gid_sets = trace.events_of("gid_set")
     idm_events = trace.events_of("idm")
+    first_gid = min((r for r, _, _ in gid_sets), default=None)
+    last_collect = max((r for r, _, _ in end_ci.values()), default=None)
 
-    good_set = set(good)
     checks: dict[str, bool] = {}
 
     # Meeting completeness: every finished id list holds every good id.
-    checks["collect_all_good_ids"] = all(good_set <= il for _, il, _ in end_ci.values())
+    checks["collect_all_good_ids"] = all(good <= il for _, il, _ in end_ci.values())
 
     # Fault estimate: at least f, and consistent with the team size.
-    checks["estf_at_least_f"] = all(
-        estf >= f and hypothesis_team_size(estf) <= config.k
-        for _, _, estf in end_ci.values()
-    )
-
     estfs = [estf for _, _, estf in end_ci.values()]
+    checks["estf_at_least_f"] = all(estf >= f and hypothesis_team_size(estf) <= config.k
+                                    for estf in estfs)
     checks["estf_spread_at_most_1"] = (max(estfs) - min(estfs) <= 1) if estfs else True
     efm = max(estfs) if estfs else f
 
-    a_min = min(good)
     target_roles = [aid for aid, sta in roles.items() if sta == STA_MG_TA]
-    ok_min = roles.get(a_min, STA_MG_TA) == STA_MG_TA
+    ok_min = roles.get(min(good), STA_MG_TA) == STA_MG_TA
     checks["smallest_good_is_target"] = ok_min and len(target_roles) <= efm + 1
 
-    checks["blacklists_stay_good_free"] = all(tar not in good_set for _, _, tar in bl_adds)
+    checks["blacklists_stay_good_free"] = all(tar not in good for _, _, tar in bl_adds)
 
     checks["group_formation_agreement"] = _check_group_agreement(trace, gid_sets)
 
-    checks["group_within_f_plus_1_phases"] = _check_group_deadline(
-        trace, end_ci, gid_sets, f, P)
+    # A group must exist before the last finisher ends its (f+1)-th hunt phase.
+    deadline = None if last_collect is None else last_collect + 3 * P * (f + 1)
+    checks["group_within_f_plus_1_phases"] = deadline is None or (
+        trace.rounds < deadline if first_gid is None else first_gid <= deadline)
 
-    wakes = [trace.wake_round[aid] for aid in good if aid in trace.wake_round]
-    checks["wake_spread_within_x"] = (max(wakes) - min(wakes) <= X) if wakes else True
+    checks["wake_spread_within_x"] = wake_spread is None or wake_spread <= X
 
     if config.variant == "SIM":
         true_max = max(config.ids)
@@ -448,22 +451,15 @@ def check(trace: Trace, config: ScenarioConfig) -> Verdict:
     if own_clock is not None:
         notes.append(f"own_clock_slack={bound - own_clock}")
 
-    first_gid = min((r for r, _, _ in gid_sets), default=None)
-    per_agent_bl: dict[int, int] = {}
-    for _, aid, _ in bl_adds:
-        per_agent_bl[aid] = per_agent_bl.get(aid, 0) + 1
-    if first_gid is not None and end_ci:
-        last_collect = max(r for r, _, _ in end_ci.values())
-        hunt_phases = max(0, -(-(first_gid - last_collect) // (3 * P)))
-    else:
-        hunt_phases = None
+    hunt_phases = (None if first_gid is None or last_collect is None
+                   else max(0, -(-(first_gid - last_collect) // (3 * P))))
     metrics = {
         "group_round": first_gid,
         "mgst_phases_to_group": hunt_phases,
         "bl_insertions": len(bl_adds),
-        "bl_max_per_agent": max(per_agent_bl.values(), default=0),
+        "bl_max_per_agent": max(Counter(aid for _, aid, _ in bl_adds).values(), default=0),
         "max_idm": max((v for _, _, v in idm_events), default=None),
-        "wake_spread": (max(wakes) - min(wakes)) if wakes else None,
+        "wake_spread": wake_spread,
         "own_clock_rounds": own_clock,
     }
 
@@ -478,31 +474,17 @@ def check(trace: Trace, config: ScenarioConfig) -> Verdict:
 
 def _check_group_agreement(trace: Trace, gid_sets) -> bool:
     """Simultaneous setters on one node must agree, with a real quorum present."""
-    by_site: dict[tuple[int, int], list] = {}
+    by_site: dict[tuple[int, int], set] = {}
     for r, aid, (gid, gef, _members) in gid_sets:
-        node = trace.node_at(aid, r)
-        by_site.setdefault((r, node), []).append((gid, gef))
-    agent_ids = trace.agent_ids
+        by_site.setdefault((r, trace.node_at(aid, r)), set()).add((gid, gef))
     for (r, node), entries in by_site.items():
-        if len(set(entries)) != 1:
+        if len(entries) != 1:
             return False
-        gef = entries[0][1]
-        occupancy = sum(1 for aid in agent_ids if trace.node_at(aid, r) == node)
-        if occupancy < 4 * gef + 4:
+        [(_, gef)] = entries
+        # The log holds every agent that woke; one still asleep then reads None.
+        if sum(trace.node_at(aid, r) == node for aid in trace.position_log) < 4 * gef + 4:
             return False
     return True
-
-
-def _check_group_deadline(trace: Trace, end_ci, gid_sets, f: int, P: int) -> bool:
-    """A group must exist before the last finisher ends its (f+1)-th hunt phase."""
-    if not end_ci:
-        return True
-    last_end = max((r, aid) for aid, (r, _, _) in end_ci.items())
-    deadline = last_end[0] + 3 * P * (f + 1)
-    first_gid = min((r for r, _, _ in gid_sets), default=None)
-    if first_gid is not None:
-        return first_gid <= deadline
-    return trace.rounds < deadline
 
 
 # -- suites -------------------------------------------------------------------
@@ -559,6 +541,13 @@ def run_suite(configs: list[ScenarioConfig], workers: int | None = None) -> Suit
 _AXES = {"families": ", ".join(FAMILY_KINDS), "f": "0", "k_rules": "strict",
          "strategies": "crash", "wake_policies": "all_at_once", "seeds": "0"}
 
+#: Scenario fields that a matrix sets per cell, and where each comes from.
+_CELL_FIELDS = {"family": "the 'families' axis", "k": "the 'k_rules' axis",
+                "team_rule": "the 'k_rules' axis", "strategy": "the 'strategies' axis",
+                "wake_policy": "the 'wake_policies' axis", "seed": "the 'seeds' axis",
+                "ids": "the 'f' and 'k_rules' axes", "byzantine_ids": "the 'f' and 'k_rules' axes",
+                "scenario_id": "the matrix itself"}
+
 _ACCEPTANCE_MATRIX = """
 n = 5
 families = ring, complete, path, random-tree, random-connected
@@ -577,10 +566,14 @@ def parse_matrix_text(text: str) -> list[ScenarioConfig]:
     seed; ``n`` defaults to 5.  With f = 0 every strategy coincides, so
     only the first one runs, and among k rules that give the same k the
     first one listed wins.  Ids are drawn once per distinct (k, f, seed).
+    A field the matrix sets per cell, or a matrix of no scenarios, is a ParseError.
     """
     fields = {"n": "5", **_read_fields(text.splitlines())}
     axes = {key: [tok.strip() for tok in fields.pop(key, default).split(",") if tok.strip()]
             for key, default in _AXES.items()}
+    clash = sorted(fields.keys() & _CELL_FIELDS.keys())
+    if clash:
+        raise ParseError(f"a matrix cannot set {clash[0]!r}; it comes from {_CELL_FIELDS[clash[0]]}")
     teams = []
     for f in (_int("f", value) for value in axes["f"]):
         k_rules: dict[int, str] = {}
@@ -600,6 +593,8 @@ def parse_matrix_text(text: str) -> list[ScenarioConfig]:
             cfg.scenario_id = (f"{cfg.variant}-{family}-n{cfg.n}-f{f}-k{k:02d}-"
                                f"{strategy}-{policy}-s{cfg.seed}")
             configs.append(cfg)
+    if not configs:
+        raise ParseError("matrix expands to no scenarios")
     return configs
 
 

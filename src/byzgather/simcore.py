@@ -178,7 +178,12 @@ class AgentSpec(NamedTuple):
 
 
 class Trace:
-    """Deterministic record of one run: wakes, moves, events, terminations."""
+    """Deterministic record of one run: wakes, moves, events, terminations.
+
+    It holds facts only, and ``harness.check`` reads each once:
+    ``wake_round`` and ``position_log`` cover every agent that woke,
+    ``termination`` and ``events`` the good agents alone.
+    """
 
     def __init__(self, scenario_id: str, variant: str, x_n: int,
                  graph: PortGraph, good_ids: frozenset[int], byz_ids: frozenset[int]):
@@ -199,18 +204,6 @@ class Trace:
     def p_n(self) -> int:
         """Phase length: ``3*x_n + 1`` rounds."""
         return 3 * self.x_n + 1
-
-    @property
-    def agent_ids(self) -> list[int]:
-        return sorted(self.good_ids | self.byz_ids)
-
-    def first_good_wake(self) -> int | None:
-        rounds = [r for aid, r in self.wake_round.items() if aid in self.good_ids]
-        return min(rounds) if rounds else None
-
-    def last_good_termination(self) -> int | None:
-        rounds = [rn for aid, (rn, _) in self.termination.items() if aid in self.good_ids]
-        return max(rounds) if len(rounds) == len(self.good_ids) else None
 
     def node_at(self, agent_id: int, round_no: int) -> int | None:
         """Node occupied at the start of ``round_no``; None while dormant."""

@@ -2,6 +2,8 @@ import pytest
 from conftest import entry, view
 
 from byzgather.adversary import (
+    FAKE_ID,
+    STRATEGY_NAMES,
     InvalidPolicy,
     Lure,
     RandomWalk,
@@ -46,6 +48,30 @@ def test_unknown_policy_rejected():
 def test_unknown_strategy_rejected():
     with pytest.raises(ValueError):
         make_strategy("teleport", 1, 0, 1)
+
+
+def test_strategy_names_keep_their_order():
+    # Matrix files, the acceptance matrix and bench/run.py list strategies in this order.
+    assert STRATEGY_NAMES == ("crash", "random_walk", "fake_target", "lure", "fake_group",
+                              "estf_liar", "id_inflator", "mimic_good")
+
+
+@pytest.mark.parametrize("name, shown", [
+    ("crash", None),
+    ("fake_target", {"sta": "S_MG_TA", "tar": 7, "gid": None, "il": frozenset((7,))}),
+    ("fake_group", {"sta": "S_G_WG", "tar": None, "gid": 0, "il": frozenset((7,))}),
+    ("id_inflator", {"sta": "S_MG_SA", "tar": None, "gid": None, "il": frozenset((7, FAKE_ID))}),
+])
+def test_held_poses_show_one_pose_and_never_move(name, shown):
+    stepper = make_strategy(name, 7, seed=0, f=1)
+    presented, action = stepper.step(None, 7)
+    assert action is None and stepper.wait() == (None, None, None)
+    assert type(stepper).name == "crash"
+    if shown is None:
+        assert presented is None  # keeps the state it woke with
+    else:
+        assert presented.estf == 1
+        assert {key: getattr(presented, key) for key in shown} == shown
 
 
 def test_random_walk_is_seed_deterministic():

@@ -1,9 +1,12 @@
 import hashlib
+import re
 
 import pytest
 from conftest import worlds
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from byzgather.adversary import STRATEGY_NAMES, WAKE_POLICIES
 from byzgather.exploration import certify
 from byzgather.harness import (
     InvalidScenario,
@@ -28,7 +31,7 @@ from byzgather.harness import (
     theorem1_bound,
     theorem2_bound,
 )
-from byzgather.portgraph import GraphError
+from byzgather.portgraph import FAMILY_KINDS, GraphError
 
 
 def test_theorem1_bound_examples():
@@ -144,6 +147,76 @@ def test_parsers_raise_only_documented_errors(parse, text):
         parse(text)
 
 
+@pytest.mark.parametrize("parse, text, message", [
+    (parse_scenario_text, "family = ring\nn = 5\nk = 4\nstrategyy = lure\n", "unknown key 'strategyy'"),
+    (config_from_trace_text, "#cfg family = ring\n#cfg n = 5\n#cfg k = 4\n#cfg colour = red\n",
+     "unknown key 'colour'"),
+    (parse_matrix_text, "families = ring\nf = 1\nstrategy = lure\n", "the 'strategies' axis"),
+    (parse_matrix_text, "families = ring\nf = 1\nk = 40\n", "the 'k_rules' axis"),
+    (parse_matrix_text, "families = ring\nids = 5 6 7 8\n", "the 'f' and 'k_rules' axes"),
+    (parse_matrix_text, "families = ring\nscenario_id = mine\n", "the matrix itself"),
+    (parse_matrix_text, "families = ring\nstrategyy = lure\n", "unknown key 'strategyy'"),
+    (parse_matrix_text, "families =\n", "matrix expands to no scenarios"),
+], ids=["scenario-typo", "trace-header-typo", "matrix-strategy", "matrix-k", "matrix-ids",
+        "matrix-scenario-id", "matrix-typo", "matrix-empty"])
+def test_keys_the_grammar_would_ignore_are_rejected(parse, text, message):
+    # Ignored, each would run something other than what it says: crash for
+    # lure, k = 17 for k = 40, or no scenario at all.
+    with pytest.raises(ParseError, match=re.escape(message)):
+        parse(text)
+
+
+_GRAMMAR_KEYS = (*ScenarioConfig.__dataclass_fields__, "k", "f")
+_AXIS_KEYS = ("families", "f", "k_rules", "strategies", "wake_policies", "seeds")
+_MATRIX_KEYS = (*_AXIS_KEYS, "variant", "n", "graph_seed", "N", "exploration_seed", "round_cap")
+_ALL_KEYS = (*_GRAMMAR_KEYS, *_AXIS_KEYS, "strategyy", "K", "colour", "")
+_WORDS = (*FAMILY_KINDS, *STRATEGY_NAMES, *WAKE_POLICIES, "NS", "SIM", "strict", "hypothesis",
+          "junk")
+# Small ints only: default_agent_ids samples a range about k wide, so a k
+# near 10**9 would allocate about a billion ids; that case is not drawn.
+_SMALL = st.integers(-3, 70)
+_VALUES = st.one_of(
+    _SMALL.map(str),
+    st.lists(_SMALL, max_size=6).map(lambda xs: ", ".join(map(str, xs))),
+    st.sampled_from(_WORDS),
+    st.lists(st.sampled_from(_WORDS), min_size=1, max_size=3).map(", ".join),
+    st.just(""),
+)
+_PARSERS = {  # parser, its keys, and the prefix of its key lines
+    "scenario": (parse_scenario_text, _GRAMMAR_KEYS, ""),
+    "matrix": (parse_matrix_text, _MATRIX_KEYS, ""),
+    "trace": (config_from_trace_text, _GRAMMAR_KEYS, "#cfg "),
+}
+
+
+@st.composite
+def _parser_inputs(draw):
+    """A parser and lines of its own keys, plus at most one stray line of any
+    key; scenario and trace lines start from a family, an n and a k."""
+    form = draw(st.sampled_from(sorted(_PARSERS)))
+    parse, keys, prefix = _PARSERS[form]
+    lines = []
+    if form != "matrix":
+        lines = [("family", draw(st.sampled_from(FAMILY_KINDS))), ("n", draw(_SMALL)),
+                 ("k", draw(_SMALL))]
+    lines += draw(st.lists(st.tuples(st.sampled_from(keys), _VALUES), max_size=8))
+    if draw(st.booleans()):
+        stray = (draw(st.sampled_from(_ALL_KEYS)), draw(_VALUES))
+        lines.insert(draw(st.integers(0, len(lines))), stray)
+    text = "".join(f"{prefix}{key} = {value}\n" for key, value in lines)
+    return parse, text + ("1,2,wake,0\n" if prefix else "")
+
+
+@settings(max_examples=200, deadline=None)
+@given(_parser_inputs())
+def test_parsers_raise_only_documented_errors_on_any_lines(parser_input):
+    parse, text = parser_input
+    try:
+        parse(text)
+    except (ParseError, GraphError, InvalidScenario):
+        pass
+
+
 def _meets_contract(verdict) -> bool:
     """Criteria 2-4: gathered, every lemma check holds, and the variant's
     bound (NS on each agent's own clock, SIM on the global span, in one round)."""
@@ -250,6 +323,69 @@ def test_ns_bound_holds_on_own_clock_and_fails_one_round_past_it():
     assert late.metrics["own_clock_rounds"] > late.bound
 
 
+def _deadline(trace, cfg):
+    """Last round a first group may form: the last end_ci plus f+1 hunt phases."""
+    return max(r for r, _, _ in trace.events_of("end_ci")) + 3 * trace.p_n * (cfg.f + 1)
+
+
+def _late_group(trace, cfg):
+    late = _deadline(trace, cfg) + 1
+    trace.events = [(late if kind == "gid_set" else r, aid, kind, payload)
+                    for r, aid, kind, payload in trace.events]
+
+
+def _no_group_by_the_deadline(trace, cfg):
+    trace.events = [e for e in trace.events if e[2] != "gid_set"]
+    trace.rounds = _deadline(trace, cfg)
+
+
+def _split_group(trace, cfg):
+    r, aid, (gid, gef, members) = trace.events_of("gid_set")[0]
+    other = next(b for b in trace.position_log
+                 if b != aid and trace.node_at(b, r) == trace.node_at(aid, r))
+    trace.events.append((r, other, "gid_set", (gid + 1, gef, members)))
+
+
+def _thin_quorum(trace, cfg):
+    # Every setter agrees on a gef whose quorum, 4*gef + 4, exceeds the team.
+    trace.events = [(r, aid, kind, (p[0], p[1] + cfg.k, p[2]) if kind == "gid_set" else p)
+                    for r, aid, kind, p in trace.events]
+
+
+def _good_blacklisted(trace, cfg):
+    r, aid, _ = trace.events_of("end_ci")[0]
+    trace.events.append((r, aid, "bl_add", max(trace.good_ids - {aid})))
+
+
+def _late_good_wake(trace, cfg):
+    first = min(trace.wake_round[aid] for aid in trace.good_ids)
+    trace.wake_round[max(trace.good_ids)] = first + trace.x_n + 1
+
+
+def _inflated_idm(trace, cfg):
+    r, aid, _ = trace.events_of("idm")[0]
+    trace.events.append((r, aid, "idm", max(cfg.ids) + 1))
+
+
+@pytest.mark.parametrize("variant, name, edit", [
+    ("NS", "group_within_f_plus_1_phases", _late_group),
+    ("NS", "group_within_f_plus_1_phases", _no_group_by_the_deadline),
+    ("NS", "group_formation_agreement", _split_group),
+    ("NS", "group_formation_agreement", _thin_quorum),
+    ("NS", "blacklists_stay_good_free", _good_blacklisted),
+    ("NS", "wake_spread_within_x", _late_good_wake),
+    ("SIM", "trusted_max_id_bounded", _inflated_idm),
+], ids=lambda p: p.__name__.strip("_") if callable(p) else None)
+def test_each_lemma_check_fails_on_a_trace_that_breaks_it(variant, name, edit):
+    cfg = _tiny_config(variant)
+    verdict, trace = run_scenario(cfg)
+    assert verdict.lemma_checks[name]
+    edit(trace, cfg)
+    broken = check(trace, cfg)
+    assert broken.lemma_checks[name] is False
+    assert name in broken.reasons()
+
+
 def test_suite_runs_and_csv_is_stable():
     configs = [_tiny_config(), _tiny_config("SIM")]
     r1 = run_suite(configs, workers=1)
@@ -331,9 +467,11 @@ def test_cli_cap_zero_is_rejected_not_ignored(tmp_path, capsys):
     (["run", "{dir}/no-k.txt"], "scenario needs either 'ids' or 'k'"),
     (["replay", "{dir}/no-cfg.trace"], "trace file carries no embedded scenario"),
     (["run", "{dir}/missing.txt"], "No such file or directory"),
-], ids=["scenario-without-k", "trace-without-cfg", "missing-file"])
+    (["suite", "{dir}/empty.matrix"], "matrix expands to no scenarios"),
+], ids=["scenario-without-k", "trace-without-cfg", "missing-file", "empty-matrix"])
 def test_cli_input_errors_end_in_one_line(tmp_path, capsys, argv, message):
     (tmp_path / "no-k.txt").write_text("family = path\nn = 4\nseed = 0\n", encoding="utf-8")
+    (tmp_path / "empty.matrix").write_text("families =\n", encoding="utf-8")
     (tmp_path / "no-cfg.trace").write_text("1,2,wake,0\n", encoding="utf-8")
     assert main([a.format(dir=tmp_path) for a in argv]) == 2
     out, err = capsys.readouterr()

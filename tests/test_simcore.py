@@ -117,7 +117,7 @@ def test_round_cap_yields_capped_trace_not_crash():
     trace = Engine(g, [AgentSpec(1, False, ScriptedAgent(), 0, 1)], round_cap=5).run()
     assert trace.capped
     assert trace.rounds == 5
-    assert trace.last_good_termination() is None
+    assert not trace.termination
 
 
 def test_byzantine_presented_keeps_true_id():
@@ -990,17 +990,20 @@ def test_held_poses_are_stepped_once_per_faulty_wake(monkeypatch):
     from byzgather import adversary, harness
 
     calls = 0
-    held = (adversary.Crash, adversary.FakeTarget, adversary.FakeGroup, adversary.IdInflator)
-    for cls in held:
-        def counting(self, world, agent_id, step=cls.step):
-            nonlocal calls
-            calls += 1
-            return step(self, world, agent_id)
+    step = adversary.HeldPose.step
 
-        monkeypatch.setattr(cls, "step", counting)
+    def counting(self, world, agent_id):
+        nonlocal calls
+        calls += 1
+        return step(self, world, agent_id)
+
+    monkeypatch.setattr(adversary.HeldPose, "step", counting)
+    held = {name for name in adversary.STRATEGY_NAMES if name != "mimic_good"
+            and isinstance(adversary.make_strategy(name, 1, 0, 1), adversary.HeldPose)}
+    assert held == {"crash", "fake_target", "fake_group", "id_inflator"}
     woke = 0
     for cfg in HOOK_CELLS:
-        if cfg.strategy in {cls.name for cls in held}:
+        if cfg.strategy in held:
             _, trace = harness.run_scenario(cfg)
             woke += len(trace.byz_ids & trace.wake_round.keys())
     assert woke > 0

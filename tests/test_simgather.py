@@ -6,7 +6,7 @@ from conftest import entry, seq_of, view
 from hypothesis import given
 from hypothesis import strategies as st
 
-from byzgather.adversary import IdInflator
+from byzgather.adversary import FAKE_ID
 from byzgather.simcore import TERMINATE
 from byzgather.simgather import SimGatheringAgent, termination_threshold, trusted_max_id
 
@@ -45,7 +45,7 @@ def test_trusted_max_none_when_nothing_qualifies():
 
 # Id lists of up to 40 agents over the ids a run can show, the inflator's
 # fake id among them; a vote up to 45 asks more lists than a view holds.
-@given(st.lists(st.frozensets(st.integers(1, 64) | st.just(IdInflator.FAKE_ID), max_size=12),
+@given(st.lists(st.frozensets(st.integers(1, 64) | st.just(FAKE_ID), max_size=12),
                 max_size=40),
        st.integers(0, 45))
 def test_trusted_max_matches_its_counting_definition(ils, gef):
