@@ -52,16 +52,19 @@ def wake_schedule(policy: str, agent_ids: list[int], byzantine_ids: set[int],
 
 class ByzantineStrategy:
     """Base of the world-fed steppers for faulty agents, each answering
-    ``step(world, agent_id) -> (presented, action)``."""
+    ``step(world, agent_id) -> (presented, action)`` and ``wait()``."""
 
     def __init__(self, agent_id: int, seed: int, f: int):
         self.agent_id = agent_id
         self.f = f
 
+    def wait(self):
+        return None, None, None
+
 
 class HeldPose(ByzantineStrategy):
-    """Shows one pose from its wake round on and never moves: never due
-    again, no watch, no walk, so it is stepped in its wake round only.
+    """Shows one pose from its wake round on and never moves; its ``wait()``
+    is the base's, so it is stepped in its wake round only.
 
     The pose is ``pose(agent_id, f)``; without one the agent keeps the
     state it woke with, which is a crash.
@@ -75,9 +78,6 @@ class HeldPose(ByzantineStrategy):
 
     def step(self, world: WorldView, agent_id: int):
         return self._pose, None
-
-    def wait(self):
-        return None, None, None
 
 
 class RandomWalk(ByzantineStrategy):
@@ -209,21 +209,15 @@ class Lure(ByzantineStrategy):
 
 
 class EstfLiar(ByzantineStrategy):
-    """Swings its presented fault estimate between extremes every round to skew votes."""
+    """Swings its presented fault estimate between extremes every round to skew votes: one step
+    answers a pose keyed by global round, ``estf`` 0 after even rounds and 99 after odd ones."""
 
     name = "estf_liar"
 
-    def __init__(self, agent_id, seed, f):
-        super().__init__(agent_id, seed, f)
-        self._tar: int | None = None
-
     def step(self, world, agent_id):
-        if self._tar is None:
-            self._tar = min(world.good_ids())
-        lie = 0 if world.round % 2 == 0 else 99
-        presented = PresentedState(STA_MG_SA, True, True, lie, self._tar, None,
-                                   frozenset((self.agent_id,)), False, False)
-        return presented, None
+        tar = min(world.good_ids())
+        return tuple(PresentedState(STA_MG_SA, True, True, lie, tar, None, frozenset((self.agent_id,)),
+                                    False, False) for lie in (0, 99)), None
 
 
 #: Each world-fed strategy's constructor, by name; a held pose is a row.

@@ -6,42 +6,46 @@ reads an observation of its node as of the end of the previous round,
 all transitions run, and all moves apply simultaneously.  Two agents
 crossing one edge in opposite directions never observe each other.
 
-Stepping is lazy where a stepper allows it.  A stepper with a ``wait()``
-method, in either seat and either feed, is asked, right after each step
-that did not terminate, ``(due, wants, walk)``: ``due`` is the next own
-count that must be stepped (None: none is), ``wants(view)`` the
-predicate, reading only the view's ``ids``, ``order`` and ``states``,
-under which an earlier changed view acts (None: none does), and ``walk
-= (base, offsets)`` the moves it makes until then.  Each lazy agent has
-one record: its due round in a heap, its predicate, asked once per
-change of its node and once on the end-of-round view after a step that
-did not move, and, after a step that moved and named a walk, a convoy:
-the walkers on one node, entered through one port, on one walk (one
-``base``, one ``offsets`` object).  The engine moves a convoy itself,
-with no ``step()`` call, each round r through ``exit_port(offsets[r -
-base], entry, degree)``; a member leaves it when stepped, at its due
-round or where ``wants`` holds.  Unstepped members show fixed states, so
-all views of a convoy alone are alike: by the convoy-view rule their
-predicates are asked on one such view after the members change, never
-for a convoy of one.  A watcher's predicate may hold on its own changed
-view.  An id collector's predicate is an ``UnknownId``; once its known
-ids hold every id of the run it can never hold, and the engine stores
-None instead (the id horizon).  A held pose answers ``(None, None,
-None)``, so it is stepped only in its wake round; a random walker names
-each leg of the ports it draws as a walk, and a lure watches for a
-hunter.  A stepper without ``wait()`` (``estf_liar``) is stepped every
-round.
+Stepping is lazy.  Every stepper, in either seat and either feed, is
+asked, right after each step that did not terminate, ``wait() -> (due,
+wants, walk)``: ``due`` is the next own count that must be stepped
+(None: none is), ``wants(view)`` the predicate, reading only the view's
+``ids``, ``order`` and ``states``, under which an earlier changed view
+acts (None: none does), and ``walk = (base, offsets)`` the moves it
+makes until then.  Each agent has one record: its due round in a heap,
+its predicate, asked once per change of its node and once on the
+end-of-round view after a step that did not move, and, after a step
+that moved and named a walk, a convoy: the walkers on one node, entered
+through one port, on one walk (one ``base``, one ``offsets`` object).
+The engine moves a convoy itself, with no ``step()`` call, each round r
+through ``exit_port(offsets[r - base], entry, degree)``; a member leaves
+it when stepped, at its due round or where ``wants`` holds.  Unstepped
+members show fixed states, so all views of a convoy alone are alike: by
+the convoy-view rule their predicates are asked on one such view after
+the members change, never for a convoy of one.  A watcher's predicate
+may hold on its own changed view.  An id collector's predicate is an
+``UnknownId``; once its known ids hold every id of the run it can never
+hold, and the engine stores None instead (the id horizon).  A held pose
+answers ``(None, None, None)``, so it is stepped only in its wake round;
+a random walker names each leg of the ports it draws as a walk, and a
+lure watches for a hunter.  A world-fed step may answer a plain tuple of
+poses (``estf_liar``): a pose keyed by global round, which the agent
+holds for the rest of the run.  Before each round r it runs, the engine
+shows ``poses[(r - 1) % len(poses)]``, as stepping the agent every round
+would; the agent's node changes only where the shown pose does.
 
-When a round changes nothing, no visit is pending, no every-round
-stepper is active, and either nobody walks or nobody is dormant and no
-active agent holds a predicate, the engine skips ahead to the next due
-round or scheduled wake (or past the round cap), moving each convoy
-through the skipped rounds in one pass; no walker can then meet an agent
-that acts.  Every move lands through ``_land``.  A walk move indexes
-``PortGraph.adj``; a stepped move goes through ``PortGraph.neighbor``,
-which checks its port.  Lazy stepping is exact: a run exports the same
-trace as one that steps every agent in every round, which the tests
-check on pinned acceptance cells and on random small worlds.
+When a round changes nothing, no visit is pending, no keyed pose shares
+its node with an agent that holds a predicate (no view can show the pose
+before a step reads it), and either nobody walks or nobody is dormant
+and no active agent holds a predicate, the engine skips ahead to the
+next due round or scheduled wake (or past the round cap), moving each
+convoy through the skipped rounds in one pass; no walker can then meet
+an agent that acts.  Every move lands through ``_land``.  A walk move
+indexes ``PortGraph.adj``; a stepped move goes through
+``PortGraph.neighbor``, which checks its port.  Lazy stepping is exact:
+a run exports the same trace as one that steps every agent in every
+round, which the tests check on pinned acceptance cells and on random
+small worlds.
 
 The engine is protocol-agnostic, and the stepper, not the seat, picks
 how it is called.  A protocol stepper (one with ``build_presented()``)
@@ -309,11 +313,6 @@ class WorldView:
 class Engine:
     """Runs one scenario round-by-round, producing a deterministic Trace.
 
-    Active steppers without ``wait()`` (``estf_liar``, test doubles) sit
-    in a sorted list stepped every round, which measured faster than a
-    heap entry per round; a watcher may read each of ``estf_liar``'s
-    parity flips, so each of its rounds acts.
-
     A convoy moves as one: one ``exit_port`` call, one landing, and one
     ``(round, node)`` log tuple shared by its members.
 
@@ -337,9 +336,7 @@ class Engine:
         self.is_byz = [s.is_byzantine for s in specs]
         self.steppers = [s.stepper for s in specs]
         # Protocol: fed its node's view, in either seat (else fed the world).
-        # Lazy: has the wait() hook, in either feed (else stepped every round).
         self._protocol = [hasattr(s.stepper, "build_presented") for s in specs]
-        self._lazy = [hasattr(s.stepper, "wait") for s in specs]
         self.pos = [s.start_node for s in specs]
         self.schedule = [s.wake_round for s in specs]
         self.status = [DORMANT] * len(specs)
@@ -358,14 +355,14 @@ class Engine:
         byz = frozenset(aid for aid, b in zip(ids, self.is_byz) if b)
         self.trace = Trace(scenario_id, variant, x_n, graph, good, byz)
         self._wake: list[int | None] = [None] * len(specs)
-        self._every: list[int] = []  # active steppers stepped every round, sorted
-        # Due rounds of lazy agents; heap entries whose round no
+        # Due rounds of active agents; heap entries whose round no
         # longer matches _due_round are stale and skipped.
         self._due: list[tuple[int, int]] = []
         self._due_round: list[int | None] = [None] * len(specs)
-        # Per lazy agent, the predicate its last wait() answered; None for
-        # every other agent and once an agent has terminated: no change wakes it.
+        # Per agent, the predicate its last wait() answered; None before its
+        # first step and once it has terminated: no change wakes it.
         self._watch: list = [None] * len(specs)
+        self._keyed: dict[int, tuple] = {}  # agent -> the round-keyed poses it holds
         # Walkers, agent -> its convoy, and the convoys in forming order.
         self._walks: dict[int, _Convoy] = {}
         self._convoys: dict[_Convoy, None] = {}
@@ -405,10 +402,7 @@ class Engine:
         insort(self.occupants[node], idx)
         self._dirty.add(node)
         self._view_cache[node] = None
-        if self._lazy[idx]:
-            self._set_due(idx, r)
-        else:
-            insort(self._every, idx)
+        self._set_due(idx, r)
         self._dormant.remove(idx)
 
     def _next_round(self, r: int) -> int:
@@ -426,7 +420,7 @@ class Engine:
         return nxt
 
     def _changed(self) -> set[int]:
-        """Active lazy agents on nodes changed since the last call whose predicate holds.
+        """Active agents on nodes changed since the last call whose predicate holds.
 
         Each predicate is asked on the node's current view, built at most
         once per node; on a view of one convoy alone, none is asked if the
@@ -539,9 +533,8 @@ class Engine:
     def _to_step(self, r: int, changed: set[int]) -> list[int]:
         """Active agents stepped in round ``r``, in id order."""
         chosen = set(changed)
-        if self._dirty:  # the nodes of agents woken now
+        if self._dirty:  # the nodes of agents woken now, or of a pose shown after a skip
             chosen |= self._changed()
-        chosen.update(self._every)
         due, due_round, status = self._due, self._due_round, self.status
         while due and due[0][0] <= r:
             rd, j = heappop(due)
@@ -549,17 +542,26 @@ class Engine:
                 chosen.add(j)
         return sorted(chosen)
 
+    def _show_keyed(self, r: int) -> None:
+        """Show each round-keyed pose for round ``r``; a node changes only where a pose does."""
+        for idx, poses in self._keyed.items():
+            p = poses[r % len(poses)]
+            if p is not self.presented[idx]:
+                self.presented[idx] = p
+                self._dirty.add(self.pos[idx])
+                self._view_cache[self.pos[idx]] = None
+
     def _finish(self, rounds: int) -> Trace:
-        # Lazy protocol steppers' clocks read as if stepped every round.
+        # Protocol steppers' clocks read as if stepped every round.
         for idx, stepper in enumerate(self.steppers):
-            if self._lazy[idx] and self._protocol[idx] and self.status[idx] == ACTIVE:
+            if self._protocol[idx] and self.status[idx] == ACTIVE:
                 stepper.state.count = rounds + 1 - self._wake[idx]
         self.trace.rounds = rounds
         return self.trace
 
     def run(self) -> Trace:
         trace, ids, steppers, status = self.trace, self.ids, self.steppers, self.status
-        is_byz, protocol, lazy, wake = self.is_byz, self._protocol, self._lazy, self._wake
+        is_byz, protocol, wake, keyed = self.is_byz, self._protocol, self._wake, self._keyed
         watch, walks, pos, entry = self._watch, self._walks, self.pos, self.entry
         presented, occupants, view_cache = self.presented, self.occupants, self._view_cache
         dirty, neighbor, land = self._dirty, self.graph.neighbor, self._land
@@ -569,11 +571,14 @@ class Engine:
         while True:
             changed = self._changed()
             r = self.round + 1
-            if not (changed or pending_visit or self._every or walks and (self._dormant or any(watch))):
+            if not (changed or pending_visit or walks and (self._dormant or any(watch))
+                    or keyed and any(watch[j] for idx in keyed for j in occupants[pos[idx]])):
                 # Until the next due round only the walkers act.
                 nxt = self._next_round(r)
                 if walks and nxt > r:
                     self._walk_ahead(r, nxt)
+                if keyed and nxt > r:
+                    self._show_keyed(nxt - 1)
                 r = nxt
             self.round = r
             if r > self.round_cap:
@@ -595,7 +600,7 @@ class Engine:
             starts: list[tuple] = []  # (agent, base round, offsets) of new walks
             pres_updates: list[tuple[int, PresentedState]] = []
             due = self._due
-            if changed or dirty or self._every or (due and due[0][0] <= r):
+            if changed or dirty or (due and due[0][0] <= r):
                 to_step = self._to_step(r, changed)
             else:
                 to_step = ()  # a round of walk moves only
@@ -605,11 +610,12 @@ class Engine:
                 stepper = steppers[idx]
                 if not protocol[idx]:
                     new_presented, action = stepper.step(world, ids[idx])
-                    if new_presented is not None:
+                    if type(new_presented) is tuple:  # poses keyed by round, shown below
+                        keyed[idx], new_presented = new_presented, None
+                    elif new_presented is not None:
                         pres_updates.append((idx, new_presented))
                 else:
-                    if lazy[idx]:
-                        stepper.state.count = r - wake[idx]
+                    stepper.state.count = r - wake[idx]
                     node = pos[idx]
                     action = stepper.step(view_cache[node] or self.node_view(node), entry[idx])
                     ev = stepper.events
@@ -637,7 +643,7 @@ class Engine:
                 else:
                     u, q = neighbor(pos[idx], action)
                     moves.append(((idx,), u, q))
-                if lazy[idx] and action is not TERMINATE:
+                if action is not TERMINATE:
                     count, wants, walk = stepper.wait()
                     if isinstance(wants, UnknownId) and all_ids <= wants.known:
                         wants = None  # the id horizon
@@ -655,8 +661,6 @@ class Engine:
             for idx in terminations:
                 status[idx] = TERMINATED
                 watch[idx] = None
-                if not lazy[idx]:
-                    self._every.remove(idx)
                 if not is_byz[idx]:
                     trace.termination[ids[idx]] = (r, pos[idx])
                     self._good_left -= 1
@@ -671,6 +675,8 @@ class Engine:
                 node = pos[idx]
                 dirty.add(node)
                 view_cache[node] = None
+            if keyed:
+                self._show_keyed(r)
 
             if self._good_left == 0:
                 return self._finish(r)

@@ -44,9 +44,11 @@ def seq_of(offsets, bound: int) -> ExplorationSequence:
 
 
 class ScriptedAgent:
-    """Engine test double: plays back a fixed action list, then stays."""
+    """Engine test double: plays back a fixed action list, then stays; due
+    in every round."""
 
     def __init__(self, actions=(), presented_state=None):
+        self.state = type("S", (), {"count": 0})()
         self.actions = list(actions)
         self.events: list = []
         self.presented_dirty = False
@@ -56,10 +58,14 @@ class ScriptedAgent:
         self._presented = presented_state
 
     def step(self, view_, entry_port):
+        self.state.count += 1
         self.seen.append((tuple(view_.order), entry_port))
         action = self.actions[self.i] if self.i < len(self.actions) else None
         self.i += 1
         return action
+
+    def wait(self):
+        return self.state.count + 1, None, None
 
     def build_presented(self):
         if self._presented is not None:
